@@ -1,15 +1,14 @@
 """The vectorized engine: :mod:`repro.fastpath` behind the Engine seam.
 
-The :class:`ArrayContext` for a circuit is built once and cached per
-:class:`~repro.context.CircuitContext` (weakly, so contexts stay
-collectable); the engine's own job is order translation — the fastpath
+The :class:`ArrayContext` for a circuit is built once and kept on its
+:class:`~repro.context.CircuitContext`, so it lives exactly as long as the
+context does; the engine's own job is order translation — the fastpath
 indexes gates in reverse-topological processing order, while everything
 crossing the public Engine API is in canonical ``ctx.gates`` order.
 """
 
 from __future__ import annotations
 
-import weakref
 from typing import Mapping, Tuple
 
 import numpy as np
@@ -25,20 +24,19 @@ from repro.fastpath.evaluate import (
 from repro.optimize.problem import OptimizationProblem
 from repro.timing.budgeting import BudgetResult
 
-_ARRAY_CACHE: "weakref.WeakKeyDictionary[CircuitContext, ArrayContext]" = (
-    weakref.WeakKeyDictionary())
+#: Attribute of a CircuitContext that holds its ArrayContext. The two
+#: reference each other, an ordinary cycle that the collector frees once
+#: the problem is dropped (a global table keyed by context never would).
+_ARRAYS_ATTR = "_array_context"
 
 
 def array_context_for(ctx: CircuitContext) -> ArrayContext:
-    """The (cached) :class:`ArrayContext` mirroring ``ctx``."""
-    try:
-        arrays = _ARRAY_CACHE.get(ctx)
-        if arrays is None:
-            arrays = ArrayContext(ctx)
-            _ARRAY_CACHE[ctx] = arrays
-        return arrays
-    except TypeError:  # unweakrefable context (e.g. a test double)
-        return ArrayContext(ctx)
+    """The :class:`ArrayContext` mirroring ``ctx``, built once per context."""
+    arrays = getattr(ctx, _ARRAYS_ATTR, None)
+    if arrays is None:
+        arrays = ArrayContext(ctx)
+        setattr(ctx, _ARRAYS_ATTR, arrays)
+    return arrays
 
 
 class ArrayEngine(Engine):

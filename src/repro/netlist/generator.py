@@ -13,14 +13,18 @@ follow Rent's rule (§2). This generator produces combinational DAGs with:
 
 Generation is fully deterministic given the spec's ``seed``; the
 ISCAS-like benchmark family (:mod:`repro.netlist.benchmarks`) is built on
-top of this module.
+top of this module. Every float that steers a draw is accumulated left to
+right in one fixed order, so a spec yields the same netlist, byte for
+byte, on every supported Python version.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import NetlistError
 from repro.netlist.gates import GateType
@@ -107,7 +111,9 @@ def _gates_per_level(spec: GeneratorSpec, rng: random.Random) -> List[int]:
         peak = max(spec.depth * 0.35, 1.0)
         distance = abs(level - peak) / spec.depth
         weights.append(max(0.15, 1.0 - distance) * (0.8 + 0.4 * rng.random()))
-    total_weight = sum(weights)
+    total_weight = 0.0
+    for weight in weights:  # not sum(): it compensates from Python 3.12 on
+        total_weight += weight
     counts = [max(1, round(spec.n_gates * weight / total_weight))
               for weight in weights]
     # Repair rounding drift while keeping every level >= 1.
@@ -132,45 +138,46 @@ def generate_network(spec: GeneratorSpec) -> LogicNetwork:
     rng = random.Random(spec.seed)
 
     input_names = [f"pi{index}" for index in range(spec.n_inputs)]
+    #: Every node by creation index: inputs first, then gates level by
+    #: level, so the nodes below a level (and the level just below it) are
+    #: contiguous index ranges.
+    names: List[str] = list(input_names)
+    fanouts: List[int] = [0] * spec.n_inputs
+    weights = _FanoutWeights(spec.n_inputs + spec.n_gates, spec.fanout_skew)
     level_nodes: Dict[int, List[str]] = {0: list(input_names)}
-    fanout_counts: Dict[str, int] = {name: 0 for name in input_names}
     counts = _gates_per_level(spec, rng)
     #: Mutable gate records (name, type, fanins, level) so post-passes can
     #: still adjust connectivity before the network is frozen.
     records: List[Tuple[str, GateType, List[str], int]] = []
 
-    gate_index = 0
+    previous_start = 0
     for level in range(1, spec.depth + 1):
+        level_start = len(names)
         level_nodes[level] = []
-        candidates_below: List[str] = []
-        for lower in range(level):
-            candidates_below.extend(level_nodes[lower])
-        previous_level = level_nodes[level - 1]
         for _ in range(counts[level - 1]):
-            name = f"g{gate_index}"
-            gate_index += 1
+            name = f"g{len(names) - spec.n_inputs}"
             fanin_count = int(_pick_weighted(rng, spec.fanin_probs))
-            fanin_count = min(fanin_count, len(candidates_below))
-            fanins: List[str] = []
+            fanin_count = min(fanin_count, level_start)
             # First fanin from the immediately preceding level keeps the
             # level assignment (and hence the requested depth) exact.
-            first = _preferential_choice(rng, previous_level, fanout_counts,
-                                         spec.fanout_skew, exclude=fanins)
-            fanins.append(first)
-            while len(fanins) < fanin_count:
-                choice = _preferential_choice(rng, candidates_below,
-                                              fanout_counts, spec.fanout_skew,
-                                              exclude=fanins)
+            chosen = [weights.choose(rng, previous_start, level_start, [])]
+            while len(chosen) < fanin_count:
+                choice = weights.choose(rng, 0, level_start, chosen)
                 if choice is None:
                     break
-                fanins.append(choice)
-            gate_type = _type_for_fanin(rng, len(fanins))
-            records.append((name, gate_type, fanins, level))
-            for fanin in fanins:
-                fanout_counts[fanin] += 1
-            fanout_counts[name] = 0
+                chosen.append(choice)
+            gate_type = _type_for_fanin(rng, len(chosen))
+            records.append((name, gate_type, [names[i] for i in chosen],
+                            level))
+            for index in chosen:
+                fanouts[index] += 1
+                weights.update(index, fanouts[index])
+            names.append(name)
+            fanouts.append(0)
             level_nodes[level].append(name)
+        previous_start = level_start
 
+    fanout_counts = dict(zip(names, fanouts))
     _wire_unused_inputs(rng, records, input_names, fanout_counts)
 
     builder = NetworkBuilder(spec.name)
@@ -213,32 +220,63 @@ def _type_for_fanin(rng: random.Random, fanin_count: int) -> GateType:
     return gate_type  # type: ignore[return-value]
 
 
-def _preferential_choice(rng: random.Random, pool: Sequence[str],
-                         fanout_counts: Dict[str, int], skew: float,
-                         exclude: Sequence[str]) -> str | None:
-    """Pick a node with probability ∝ ``(1 + fanout)**skew``.
+def _fanout_weight(fanout: int, skew: float) -> float:
+    """Attachment weight ``(1 + fanout)**skew``, tripled at zero fanout.
 
-    Nodes with zero fanout get a strong bonus so the generator rarely
-    leaves dangling logic (any remainder is promoted to a primary output).
+    The bonus makes the generator rarely leave dangling logic (any
+    remainder is promoted to a primary output). Python's ``**`` on purpose:
+    numpy's ``power`` differs from it in the last bit on some inputs.
     """
-    candidates = [name for name in pool if name not in exclude]
-    if not candidates:
-        return None
-    weights = []
-    for name in candidates:
-        fanout = fanout_counts[name]
-        weight = (1.0 + fanout) ** skew
-        if fanout == 0:
-            weight *= 3.0
-        weights.append(weight)
-    total = sum(weights)
-    roll = rng.random() * total
-    cumulative = 0.0
-    for name, weight in zip(candidates, weights):
-        cumulative += weight
-        if roll < cumulative:
-            return name
-    return candidates[-1]
+    weight = (1.0 + fanout) ** skew
+    if fanout == 0:
+        weight *= 3.0
+    return weight
+
+
+class _FanoutWeights:
+    """Preferential-attachment draws over nodes indexed by creation order.
+
+    A node is picked with probability ∝ :func:`_fanout_weight`. The weight
+    array is updated only where a fanout changes, and a draw over the pool
+    ``[start, stop)`` is a sequential ``cumsum`` (the same additions, in the
+    same order, as a left-to-right running total) plus a binary search for
+    the first running total above the roll. Excluded nodes count with
+    weight 0.0, which adds exactly nothing.
+    """
+
+    def __init__(self, n_nodes: int, skew: float):
+        self.skew = skew
+        self.weights = np.full(n_nodes, _fanout_weight(0, skew))
+        self._totals = np.empty(n_nodes)
+
+    def update(self, index: int, fanout: int) -> None:
+        self.weights[index] = _fanout_weight(fanout, self.skew)
+
+    def choose(self, rng: random.Random, start: int, stop: int,
+               exclude: List[int]) -> int | None:
+        """A node of ``[start, stop)`` not in ``exclude``, or None if none is left.
+
+        ``exclude`` holds distinct nodes of the pool (the gate's fanins so far).
+        """
+        if stop - start <= len(exclude):
+            return None  # every pool node is already a fanin
+        weights = self.weights
+        if exclude:
+            kept = weights[exclude]
+            weights[exclude] = 0.0
+        totals = weights[start:stop].cumsum(out=self._totals[:stop - start])
+        if exclude:
+            weights[exclude] = kept
+        roll = rng.random() * float(totals[-1])
+        position = start + int(totals.searchsorted(roll, side="right"))
+        if position < stop:
+            return position
+        # Only a roll of the whole total gets here (``random()`` < 1 never
+        # rounds up to it); like the original loop, take the last candidate.
+        position = stop - 1
+        while position in exclude:
+            position -= 1
+        return position
 
 
 def _choose_outputs(spec: GeneratorSpec, rng: random.Random,
@@ -255,9 +293,10 @@ def _choose_outputs(spec: GeneratorSpec, rng: random.Random,
                 if fanout_counts[name] == 0]
     outputs.extend(dangling)
     if len(outputs) < spec.n_outputs:
+        chosen = set(outputs)
         extras = [name
                   for level in range(spec.depth - 1, 0, -1)
                   for name in level_nodes[level]
-                  if name not in outputs]
+                  if name not in chosen]
         outputs.extend(extras[:spec.n_outputs - len(outputs)])
     return outputs[:max(spec.n_outputs, len(last_level) + len(dangling))]

@@ -8,11 +8,14 @@ factory's counters, and the sizing/evaluation value objects.
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from repro.activity.profiles import uniform_profile
 from repro.engine import (
     ENGINE_CHOICES,
     ENGINE_ENV_VAR,
@@ -32,6 +35,8 @@ from repro.obs.instrument import (
     engine_evaluations_metric,
 )
 from repro.obs.metrics import MetricsRegistry, use_metrics
+from repro.optimize.problem import OptimizationProblem
+from repro.units import MHZ
 
 
 # --- name resolution ---------------------------------------------------------
@@ -123,6 +128,23 @@ def test_array_context_is_cached_per_context(s27_problem):
     second = array_context_for(s27_problem.ctx)
     assert first is second
     assert make_engine(s27_problem, "fast").arrays is first
+
+
+def test_array_context_dies_with_its_problem(tech, small_network):
+    """Dropped problems free their ArrayContext: repeated fresh builds keep
+    no more of them alive than there are live problems."""
+    profile = uniform_profile(small_network, probability=0.5, density=0.1)
+    arrays = []
+    for _ in range(3):
+        problem = OptimizationProblem.build(tech, small_network, profile,
+                                            frequency=300 * MHZ)
+        arrays.append(weakref.ref(make_engine(problem, "fast").arrays))
+    gc.collect()
+    assert [ref() is None for ref in arrays] == [True, True, False]
+    assert arrays[-1]() is array_context_for(problem.ctx)
+    del problem
+    gc.collect()
+    assert arrays[-1]() is None
 
 
 # --- the value objects -------------------------------------------------------

@@ -103,8 +103,8 @@ class BatchEngine(ArrayEngine):
         self._observe(batch)
         # Reference evaluation order (see Engine.measure): energy, STA.
         # Both kernels bill currents for the same (vdd, vth) pairs, so
-        # compute them once and share — same doubles, half the model
-        # calls (the dominant cost when every row is a distinct pair).
+        # compute them once and share — same doubles, half the
+        # device-model work.
         currents = batch_currents(self.arrays, vdd, vth)
         static, dynamic = batch_total_energy(
             self.arrays, vdd, vth, widths, self.problem.frequency, batch,

@@ -14,8 +14,8 @@ provides a drop-in vectorized engine:
 
 The kernels are *bit-compatible by construction* with the scalar path
 (the same formulas over the same numbers, just batched; transistor
-currents go through the scalar device model once per distinct voltage
-pair); the test suite asserts agreement to float round-off on every
+currents come from an array device model that is ``==`` to the scalar
+one); the test suite asserts agreement to float round-off on every
 benchmark circuit and on random design points, repair corners included —
 there is no scalar fallback anywhere. Optimizers consume these kernels
 through :class:`repro.engine.array.ArrayEngine` (settings

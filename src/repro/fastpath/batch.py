@@ -18,15 +18,13 @@ hold by construction:
   call, and ``np.sum(..., axis=1)`` performs the same per-row pairwise
   summation as summing each row alone (asserted empirically by
   ``tests/test_engine_batch.py`` on every circuit it touches).
-* Device physics stays in the scalar reference model: currents (and,
-  for per-row-scalar voltages, slope coefficients) are evaluated once
-  per *distinct* ``(vdd, vth)`` pair through the same scalar functions
-  the single-design path calls, then scattered.
+* Device physics goes through :mod:`repro.technology.array_model`,
+  whose every element is ``==`` to the scalar reference model on that
+  element, so a row of currents or slope coefficients is the one the
+  single-design path computes in either voltage mode.
 
-Rows whose voltages are per-row scalars reproduce the single-design
-*scalar* voltage mode (scalar model calls, scalar slope coefficient);
-per-gate rows reproduce the *vector* mode. A batch is one mode or the
-other — mixed batches are the caller's (engine fallback's) problem.
+A batch is per-row scalars or per-gate rows, never a mix — mixed
+batches are the caller's (engine fallback's) problem.
 
 Budget repair stays sequential per design: rows that trip the repair
 path replay through the single-design ``_size_with_repair``, which is
@@ -52,7 +50,7 @@ from repro.obs.instrument import (
     seam,
 )
 from repro.obs.metrics import current_metrics
-from repro.technology import leakage, mosfet
+from repro.technology import array_model, leakage, mosfet
 from repro.timing.delay_model import slope_coefficient
 
 
@@ -180,27 +178,12 @@ def _cols(value, start: int, stop: int):
     return value[:, start:stop]
 
 
-def _pair_scatter(tech, vdd_b: np.ndarray, vth_b: np.ndarray, fns):
-    """Evaluate scalar model functions once per distinct (vdd, vth)
-    pair over broadcast arrays, scattered back to the broadcast shape."""
-    shape = np.broadcast_shapes(vdd_b.shape, vth_b.shape)
-    vdd_full = np.broadcast_to(vdd_b, shape).ravel()
-    vth_full = np.broadcast_to(vth_b, shape).ravel()
-    pairs = np.stack([vdd_full, vth_full], axis=1)
-    unique, inverse = np.unique(pairs, axis=0, return_inverse=True)
-    outs = [np.empty(len(unique)) for _ in fns]
-    for k, (pair_vdd, pair_vth) in enumerate(unique):
-        for out, fn in zip(outs, fns):
-            out[k] = fn(tech, float(pair_vdd), float(pair_vth))
-    inverse = inverse.reshape(-1)
-    return tuple(out[inverse].reshape(shape) for out in outs)
-
-
 def batch_currents(arrays: ArrayContext, vdd: BatchValue, vth: BatchValue):
     """Per-gate ``(drain, off)`` per unit width, batched.
 
-    Same scalar reference model per distinct pair as the single-design
-    path, so every stored double is the one that path would compute.
+    The same device model as the single-design path (scalar functions
+    for global voltages, the array model otherwise), so every stored
+    double is the one that path would compute.
     """
     tech = arrays.ctx.tech
     if not isinstance(vdd.values, np.ndarray) \
@@ -208,34 +191,20 @@ def batch_currents(arrays: ArrayContext, vdd: BatchValue, vth: BatchValue):
         return (mosfet.drain_current_per_width(tech, vdd.values, vth.values),
                 leakage.off_current_per_width(tech, vth.values,
                                               vds=vdd.values))
-    vdd_b = np.atleast_2d(np.asarray(vdd.values, dtype=float))
-    vth_b = np.atleast_2d(np.asarray(vth.values, dtype=float))
-    return _pair_scatter(
-        tech, vdd_b, vth_b,
-        (lambda t, v, th: mosfet.drain_current_per_width(t, v, th),
-         lambda t, v, th: leakage.off_current_per_width(t, th, vds=v)))
+    return array_model.currents(tech, np.atleast_2d(vdd.values),
+                                np.atleast_2d(vth.values))
 
 
 def batch_slope_coefficients(arrays: ArrayContext, vdd: BatchValue,
                              vth: BatchValue):
-    """``slope_coefficient`` batched, mode-faithful per row.
-
-    Per-row-scalar batches go through the scalar reference function per
-    distinct pair (what each looped row would do); per-gate batches use
-    the broadcast arithmetic of the single-design vector branch.
-    """
+    """``slope_coefficient`` batched: the scalar function for global
+    voltages, the (exact) array arithmetic for per-row scalars and
+    per-gate rows alike."""
     tech = arrays.ctx.tech
     if not isinstance(vdd.values, np.ndarray) \
             and not isinstance(vth.values, np.ndarray):
         return slope_coefficient(tech, vdd.values, vth.values)
-    if not (vdd.per_gate or vth.per_gate):
-        vdd_b = np.atleast_2d(np.asarray(vdd.values, dtype=float))
-        vth_b = np.atleast_2d(np.asarray(vth.values, dtype=float))
-        return _pair_scatter(tech, vdd_b, vth_b, (slope_coefficient,))[0]
-    if bool(np.any(np.asarray(vdd.values) <= 0.0)):
-        raise TimingError("vdd must be > 0")
-    raw = 0.5 - (1.0 - vth.values / vdd.values) / (1.0 + tech.alpha)
-    return np.clip(raw, 0.0, 0.5)
+    return array_model.slope_coefficients(tech, vdd.values, vth.values)
 
 
 def _batch_drive(arrays: ArrayContext, vdd: BatchValue, vth: BatchValue,

@@ -7,11 +7,10 @@ mirror ``repro.optimize.width_search`` / ``repro.timing`` /
 ``repro.power`` term by term; the equivalence tests assert agreement to
 float round-off on every benchmark circuit.
 
-Per-gate transistor currents are evaluated once per *distinct*
-``(Vdd, Vth)`` pair through the scalar reference model
-(:mod:`repro.technology.mosfet` / :mod:`repro.technology.leakage`) and
-scattered into vectors — searches use a handful of distinct voltages, so
-this is cheap and keeps the device physics in exactly one place.
+Per-gate transistor currents come from the array device model
+(:mod:`repro.technology.array_model`), which reproduces the scalar
+reference model (:mod:`repro.technology.mosfet` /
+:mod:`repro.technology.leakage`) bit for bit on every element.
 
 Budget repair (``repair_ceiling``) runs inside the kernel: when the
 vectorized level sweep hits an under-budgeted gate, sizing restarts as a
@@ -44,7 +43,7 @@ from repro.obs.instrument import (
     seam,
 )
 from repro.obs.metrics import current_metrics
-from repro.technology import leakage, mosfet
+from repro.technology import array_model, leakage, mosfet
 from repro.timing.delay_model import slope_coefficient
 
 #: Smallest budget (s) a driver may be squeezed to during repair
@@ -70,28 +69,15 @@ def _currents(arrays: ArrayContext, vdd, vth) -> Tuple[np.ndarray, np.ndarray]:
     """Per-gate ``(drain_current, off_current)`` per unit width.
 
     Scalar voltages go straight through the scalar reference model (the
-    single-corner hot path); vectors are evaluated once per distinct
-    ``(vdd, vth)`` pair with the *same* scalar model and scattered, so
-    the physics is bit-identical between engines in both modes.
+    single-corner hot path); vectors go through the array device model,
+    whose every element is ``==`` to the scalar model's, so the physics
+    is bit-identical between engines in both modes.
     """
     tech = arrays.ctx.tech
     if not isinstance(vdd, np.ndarray) and not isinstance(vth, np.ndarray):
         return (mosfet.drain_current_per_width(tech, vdd, vth),
                 leakage.off_current_per_width(tech, vth, vds=vdd))
-    n = arrays.n_gates
-    vdd_vec = np.broadcast_to(np.asarray(vdd, dtype=float), (n,))
-    vth_vec = np.broadcast_to(np.asarray(vth, dtype=float), (n,))
-    pairs = np.stack([vdd_vec, vth_vec], axis=1)
-    unique, inverse = np.unique(pairs, axis=0, return_inverse=True)
-    drain = np.empty(len(unique))
-    off = np.empty(len(unique))
-    for k, (pair_vdd, pair_vth) in enumerate(unique):
-        drain[k] = mosfet.drain_current_per_width(tech, float(pair_vdd),
-                                                  float(pair_vth))
-        off[k] = leakage.off_current_per_width(tech, float(pair_vth),
-                                               vds=float(pair_vdd))
-    inverse = inverse.reshape(-1)
-    return drain[inverse], off[inverse]
+    return array_model.currents(tech, vdd, vth)
 
 
 def _drive_per_width(arrays: ArrayContext, vdd, vth):
@@ -107,10 +93,7 @@ def _slope_coefficients(arrays: ArrayContext, vdd, vth):
     tech = arrays.ctx.tech
     if not isinstance(vdd, np.ndarray) and not isinstance(vth, np.ndarray):
         return slope_coefficient(tech, vdd, vth)
-    if bool(np.any(np.asarray(vdd) <= 0.0)):
-        raise TimingError("vdd must be > 0")
-    raw = 0.5 - (1.0 - vth / vdd) / (1.0 + tech.alpha)
-    return np.clip(raw, 0.0, 0.5)
+    return array_model.slope_coefficients(tech, vdd, vth)
 
 
 def _at(value, index: int) -> float:

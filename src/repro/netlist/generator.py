@@ -20,6 +20,7 @@ byte, on every supported Python version.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
@@ -80,6 +81,9 @@ class GeneratorSpec:
             raise NetlistError(
                 f"n_gates ({self.n_gates}) must be >= depth ({self.depth}) "
                 "so every level can hold a gate")
+        if not math.isfinite(self.fanout_skew):
+            raise NetlistError(
+                f"fanout_skew must be finite, got {self.fanout_skew}")
         if self.fanout_skew < 0.0:
             raise NetlistError(
                 f"fanout_skew must be >= 0, got {self.fanout_skew}")
@@ -227,7 +231,12 @@ def _fanout_weight(fanout: int, skew: float) -> float:
     remainder is promoted to a primary output). Python's ``**`` on purpose:
     numpy's ``power`` differs from it in the last bit on some inputs.
     """
-    weight = (1.0 + fanout) ** skew
+    try:
+        weight = (1.0 + fanout) ** skew
+    except OverflowError:
+        raise NetlistError(
+            f"fanout_skew {skew} overflows the attachment weight of a node "
+            f"with fanout {fanout}") from None
     if fanout == 0:
         weight *= 3.0
     return weight
@@ -267,7 +276,12 @@ class _FanoutWeights:
         totals = weights[start:stop].cumsum(out=self._totals[:stop - start])
         if exclude:
             weights[exclude] = kept
-        roll = rng.random() * float(totals[-1])
+        total = float(totals[-1])
+        if total == math.inf:
+            raise NetlistError(
+                f"fanout_skew {self.skew} overflows the sum of attachment "
+                f"weights")
+        roll = rng.random() * total
         position = start + int(totals.searchsorted(roll, side="right"))
         if position < stop:
             return position

@@ -28,10 +28,14 @@ def subthreshold_off_current_per_width(tech: Technology, vth: float,
     optimizer lowers ``Vth`` to keep speed at low ``Vdd``, this term grows
     by one decade per subthreshold-slope's worth of reduction.
     """
+    if not math.isfinite(vth):
+        raise TechnologyError(f"vth must be finite, got {vth}")
     if vth <= 0.0:
         raise TechnologyError(f"vth must be > 0, got {vth}")
     current = tech.subthreshold_i0 * 10.0 ** (-vth / tech.subthreshold_slope)
     if vds is not None:
+        if not math.isfinite(vds):
+            raise TechnologyError(f"vds must be finite, got {vds}")
         if vds < 0.0:
             raise TechnologyError(f"vds must be >= 0, got {vds}")
         current *= -math.expm1(-vds / tech.thermal_voltage)

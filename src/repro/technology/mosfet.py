@@ -115,13 +115,23 @@ def drain_current_per_width(tech: Technology, vgs: float, vth: float,
     threshold voltage. Valid and smooth across the sub/superthreshold
     boundary. ``vds`` defaults to ``vgs`` (output swinging from the rail).
     """
+    if not math.isfinite(vgs):
+        raise TechnologyError(f"vgs must be finite, got {vgs}")
+    if not math.isfinite(vth):
+        raise TechnologyError(f"vth must be finite, got {vth}")
+    if vds is not None and not math.isfinite(vds):
+        raise TechnologyError(f"vds must be finite, got {vds}")
     if vgs < 0.0:
         raise TechnologyError(f"vgs must be >= 0, got {vgs}")
     if vth <= 0.0:
         raise TechnologyError(f"vth must be > 0, got {vth}")
     b_factor, shift, blend = _transregional_params(tech)
     effective_overdrive = blend * _softplus((vgs - vth + shift) / blend)
-    current = b_factor * effective_overdrive ** tech.alpha
+    try:
+        current = b_factor * effective_overdrive ** tech.alpha
+    except OverflowError:
+        raise TechnologyError(
+            f"vgs={vgs} overflows the drain-current model") from None
     drain_bias = vgs if vds is None else vds
     return current * _drain_saturation_factor(tech, drain_bias)
 

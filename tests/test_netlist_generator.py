@@ -79,10 +79,29 @@ def test_fanout_skew_increases_max_fanout():
      "fanout_skew"),
     (dict(n_inputs=1, n_outputs=1, n_gates=5, depth=2,
           fanin_probs=((2, 0.5),)), "sum to 1"),
+    (dict(n_inputs=1, n_outputs=1, n_gates=5, depth=2,
+          fanout_skew=math.nan), "fanout_skew must be finite"),
+    (dict(n_inputs=1, n_outputs=1, n_gates=5, depth=2,
+          fanout_skew=math.inf), "fanout_skew must be finite"),
 ])
 def test_spec_validation(kwargs, fragment):
     with pytest.raises(NetlistError, match=fragment):
         GeneratorSpec(name="bad", **kwargs)
+
+
+def test_overflowing_skew_is_a_labeled_error():
+    spec = GeneratorSpec(name="steep", n_inputs=8, n_outputs=6, n_gates=40,
+                         depth=5, seed=1, fanout_skew=1000.0)
+    with pytest.raises(NetlistError, match="fanout_skew 1000.0 overflows"):
+        generate_network(spec)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in accumulate")
+def test_overflowing_weight_total_is_a_labeled_error():
+    weights = generator._FanoutWeights(3, 200.0)
+    weights.weights[:] = 1e308  # each finite, their sum is not
+    with pytest.raises(NetlistError, match="fanout_skew 200.0 overflows"):
+        weights.choose(random.Random(0), 0, 3, [])
 
 
 def test_fanin_distribution_roughly_respected():

@@ -53,7 +53,7 @@ from repro.power.energy import total_energy
 from repro.robust.config import RobustConfig
 from repro.robust.objective import (RobustEvaluator, corner_key,
                                     robust_details)
-from repro.runtime.checkpoint import SearchCheckpoint
+from repro.runtime.checkpoint import CHECKPOINT_EVERY, SearchCheckpoint
 from repro.runtime.controller import RunController, resolve_controller
 from repro.runtime.supervisor import ParallelPlan, resolve_parallel
 from repro.search import (STRATEGY_CHOICES, make_strategy, run_search,
@@ -447,7 +447,8 @@ def _open_checkpoint(problem: OptimizationProblem,
         path = controller.checkpoint_path
     if path is None:
         return None
-    every = controller.checkpoint_every if controller is not None else 1
+    every = (controller.checkpoint_every if controller is not None
+             else CHECKPOINT_EVERY)
     fingerprint = _search_fingerprint(problem, settings, vdd_range, vth_range,
                                       engine_name)
     if path.exists():

@@ -10,6 +10,15 @@ live. A search interrupted at *any* corner therefore finishes with the
 identical design point and energy as an uninterrupted run (property-
 tested in ``tests/test_runtime_checkpoint.py``).
 
+Because any prefix of the log resumes exactly, saving every evaluation
+buys nothing but a shorter replay. Searches therefore save once per
+:data:`CHECKPOINT_EVERY` recorded evaluations, and the optimizer flushes
+whatever is pending when the search ends for any reason it can catch:
+completion, deadline, cancellation, SIGINT or a model error lose
+nothing. Only an uncatchable death (SIGKILL, power loss) loses the
+unsaved tail, at most ``CHECKPOINT_EVERY - 1`` evaluations, which the
+resumed run recomputes on the same deterministic path.
+
 The file is JSON, written atomically (:mod:`repro.runtime.atomicio`) so
 a crash mid-save never destroys the previous good checkpoint, and is
 fingerprinted against the network/strategy/settings so a checkpoint
@@ -30,6 +39,11 @@ from repro.runtime.atomicio import atomic_write_json, read_json_object
 
 FORMAT_KEY = "repro-checkpoint"
 FORMAT_VERSION = 1
+
+#: Recorded evaluations per save of a search checkpoint: the cadence
+#: every checkpointing search runs at unless its controller asks for
+#: another. A SIGKILL loses at most ``CHECKPOINT_EVERY - 1`` evaluations.
+CHECKPOINT_EVERY = 32
 
 
 def _encode_float(value: float) -> float | str:
@@ -58,7 +72,12 @@ class SearchCheckpoint:
     sizes, frequency, ranges...); a checkpoint only resumes a search
     with an identical fingerprint. ``path`` is where :meth:`save`
     persists (atomic); ``every`` batches saves to one write per N
-    recorded evaluations (the final :meth:`flush` always writes).
+    recorded evaluations. Only records that change the state count: a
+    new corner in the log, or a better best snapshot. :meth:`flush`
+    writes whatever is pending, so a caller that flushes on every exit
+    path loses nothing short of a SIGKILL, and a SIGKILL loses at most
+    ``every - 1`` evaluations. Searches open their checkpoint at
+    :data:`CHECKPOINT_EVERY`; the bare default of 1 saves every record.
     """
 
     def __init__(self, fingerprint: Mapping[str, object],
@@ -102,15 +121,23 @@ class SearchCheckpoint:
                best_energy: float,
                best_point: Optional[Tuple[float, float]],
                best_widths: Optional[Mapping[str, float]]) -> None:
-        """Append one completed evaluation and the current best snapshot."""
+        """Append one completed evaluation and the current best snapshot.
+
+        Re-recording a logged corner without a better best changes
+        nothing, so it does not count toward the next save.
+        """
         key = (vdd, vth)
-        if key not in self._index:
+        changed = key not in self._index
+        if changed:
             self.log.append((vdd, vth, energy, feasible))
             self._index[key] = (energy, feasible)
         if best_point is not None and best_energy < self.best_energy:
             self.best_energy = best_energy
             self.best_point = best_point
             self.best_widths = dict(best_widths) if best_widths else None
+            changed = True
+        if not changed:
+            return
         self._pending += 1
         if self.path is not None and self._pending >= self.every:
             self.save()

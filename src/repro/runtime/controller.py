@@ -33,6 +33,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Mapping, Optional
 
 from repro.errors import DeadlineExceeded, OptimizationError, RunCancelled
+from repro.runtime.checkpoint import CHECKPOINT_EVERY
 
 
 @dataclass(frozen=True)
@@ -120,16 +121,17 @@ class RunController:
     ``progress``
         Optional callback receiving :class:`ProgressEvent` instances.
     ``checkpoint_path`` / ``checkpoint_every``
-        Where (and how often, in objective evaluations) checkpointing
-        searches persist their state. Optimizers that support resume
-        honour these; others ignore them.
+        Where (and how often, in recorded objective evaluations)
+        checkpointing searches persist their state; the default is
+        :data:`~repro.runtime.checkpoint.CHECKPOINT_EVERY`. Optimizers
+        that support resume honour these; others ignore them.
     """
 
     def __init__(self, deadline_s: Optional[float] = None,
                  clock: Optional[Callable[[], float]] = None,
                  progress: Optional[Callable[[ProgressEvent], None]] = None,
                  checkpoint_path: str | Path | None = None,
-                 checkpoint_every: int = 1):
+                 checkpoint_every: int = CHECKPOINT_EVERY):
         if deadline_s is not None and deadline_s <= 0.0:
             raise OptimizationError(
                 f"deadline_s must be > 0, got {deadline_s}")

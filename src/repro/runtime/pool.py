@@ -7,7 +7,10 @@ deadlines, merge order).
 
 Each worker is one OS process with its own task queue; the supervisor
 assigns tasks explicitly, so it always knows exactly which task died
-with a crashed worker. Workers report on a shared result queue:
+with a crashed worker. Each worker reports on its own result pipe,
+written by no other process, so a worker killed mid-message can tear
+only its own channel; a result queue shared by all workers would leave
+its write lock held by the dead process and silence every survivor:
 
 ``("ready", worker_id, pid)``
     Init finished; the worker is accepting tasks.
@@ -40,7 +43,8 @@ import threading
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from multiprocessing.connection import wait
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import OptimizationError
 from repro.runtime.tasks import failure_summary
@@ -119,12 +123,28 @@ def _pool_context(start_method: Optional[str] = None):
 # -- worker side -----------------------------------------------------------
 
 
-def _heartbeat_loop(result_queue, worker_id: int, key: str,
+class _ResultChannel:
+    """A worker's write end of its result pipe.
+
+    Sends are synchronous, and a thread lock keeps the heartbeat thread
+    from interleaving with the task thread's messages.
+    """
+
+    def __init__(self, connection):
+        self._connection = connection
+        self._lock = threading.Lock()
+
+    def put(self, message: tuple) -> None:
+        with self._lock:
+            self._connection.send(message)
+
+
+def _heartbeat_loop(results: _ResultChannel, worker_id: int, key: str,
                     interval_s: float, stop: threading.Event) -> None:
     while not stop.wait(interval_s):
         try:
-            result_queue.put((MSG_HEARTBEAT, worker_id, key))
-        except Exception:  # pragma: no cover - queue torn down mid-put
+            results.put((MSG_HEARTBEAT, worker_id, key))
+        except Exception:  # pragma: no cover - parent gone mid-send
             return
 
 
@@ -166,10 +186,11 @@ def _run_attempt(state, fn, args, options: WorkerOptions, key: str,
 
 
 def worker_main(worker_id: int, init_fn, init_args,
-                task_queue, result_queue,
+                task_queue, result_connection,
                 options: WorkerOptions) -> None:
     """Entry point of one pool worker process."""
     os.environ[IN_WORKER_ENV] = "1"
+    results = _ResultChannel(result_connection)
     injector = None
     try:
         if options.fault_plan_json:
@@ -180,10 +201,10 @@ def worker_main(worker_id: int, init_fn, init_args,
         try:
             state = init_fn(*init_args) if init_fn is not None else None
         except BaseException as error:  # noqa: BLE001 - isolation boundary
-            result_queue.put((MSG_ERROR, worker_id, None, 0,
-                              failure_summary(error), {}, 0.0))
+            results.put((MSG_ERROR, worker_id, None, 0,
+                         failure_summary(error), {}, 0.0))
             return
-        result_queue.put((MSG_READY, worker_id, os.getpid()))
+        results.put((MSG_READY, worker_id, os.getpid()))
         crash_keys = frozenset(options.crash_tasks)
 
         while True:
@@ -191,7 +212,7 @@ def worker_main(worker_id: int, init_fn, init_args,
             if item is None:
                 return
             key, _index, fn, args, attempt = item
-            result_queue.put((MSG_STARTED, worker_id, key, attempt))
+            results.put((MSG_STARTED, worker_id, key, attempt))
             if key in crash_keys and attempt == 1:
                 # Deterministic mid-task crash (tests/CI): die the hard
                 # way, exactly like an OOM kill — no cleanup, no result.
@@ -199,7 +220,7 @@ def worker_main(worker_id: int, init_fn, init_args,
             stop = threading.Event()
             beat = threading.Thread(
                 target=_heartbeat_loop,
-                args=(result_queue, worker_id, key,
+                args=(results, worker_id, key,
                       options.heartbeat_s, stop),
                 daemon=True)
             beat.start()
@@ -207,12 +228,12 @@ def worker_main(worker_id: int, init_fn, init_args,
             try:
                 value, counters = _run_attempt(state, fn, args, options,
                                                key, attempt)
-                result_queue.put((MSG_DONE, worker_id, key, attempt, value,
-                                  counters, time.perf_counter() - start))
+                results.put((MSG_DONE, worker_id, key, attempt, value,
+                             counters, time.perf_counter() - start))
             except BaseException as error:  # noqa: BLE001 - isolation
-                result_queue.put((MSG_ERROR, worker_id, key, attempt,
-                                  failure_summary(error), {},
-                                  time.perf_counter() - start))
+                results.put((MSG_ERROR, worker_id, key, attempt,
+                             failure_summary(error), {},
+                             time.perf_counter() - start))
             finally:
                 stop.set()
     finally:
@@ -230,6 +251,8 @@ class WorkerHandle:
     worker_id: int
     process: object
     task_queue: object
+    #: Read end of the worker's private result pipe.
+    results: object
     #: None while idle, else (key, index, attempt, assigned_monotonic).
     running: Optional[Tuple[str, int, int, float]] = None
     #: True once the worker's init completed.
@@ -289,7 +312,6 @@ class ProcessPool:
         self._init_args = init_args
         self._options = options
         self._next_worker_id = 0
-        self.result_queue = self._context.Queue()
         self.workers: dict[int, WorkerHandle] = {}
         #: Workers that have been replaced or shut down (lifetime stats).
         self.retired: list[WorkerHandle] = []
@@ -300,15 +322,19 @@ class ProcessPool:
         worker_id = self._next_worker_id
         self._next_worker_id += 1
         task_queue = self._context.SimpleQueue()
+        reader, writer = self._context.Pipe(duplex=False)
         process = self._context.Process(
             target=worker_main,
             args=(worker_id, self._init_fn, self._init_args,
-                  task_queue, self.result_queue, self._options),
+                  task_queue, writer, self._options),
             daemon=True,
             name=f"repro-pool-{worker_id}")
         process.start()
+        # The worker now holds the only write end, so its death reads
+        # as end-of-file here.
+        writer.close()
         handle = WorkerHandle(worker_id=worker_id, process=process,
-                              task_queue=task_queue)
+                              task_queue=task_queue, results=reader)
         self.workers[worker_id] = handle
         return handle
 
@@ -321,12 +347,36 @@ class ProcessPool:
         """Kill and reap one worker without replacing it."""
         old = self.workers.pop(worker_id)
         old.kill()
+        old.results.close()
         self.retired.append(old)
+
+    def receive(self, timeout: float) -> List[tuple]:
+        """Every message the workers have sent, waiting up to
+        ``timeout`` for the first."""
+        open_pipes = {handle.results: handle
+                      for handle in self.workers.values()
+                      if not handle.results.closed}
+        messages: List[tuple] = []
+        for pipe in wait(list(open_pipes), timeout):
+            messages.extend(self.read(open_pipes[pipe]))
+        return messages
+
+    @staticmethod
+    def read(handle: WorkerHandle) -> List[tuple]:
+        """The complete messages waiting in one worker's pipe; a pipe at
+        end-of-file (the worker exited) is closed."""
+        messages: List[tuple] = []
+        pipe = handle.results
+        try:
+            while not pipe.closed and pipe.poll():
+                messages.append(pipe.recv())
+        except (EOFError, OSError):
+            pipe.close()
+        return messages
 
     def close(self) -> None:
         for handle in self.workers.values():
             handle.shutdown()
+            handle.results.close()
             self.retired.append(handle)
         self.workers.clear()
-        self.result_queue.close()
-        self.result_queue.join_thread()

@@ -37,7 +37,6 @@ from __future__ import annotations
 import contextlib
 import logging
 import os
-import queue as queue_module
 import time
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -373,6 +372,11 @@ def _run_pool(tasks, init_fn, init_args, plan, controller, on_result,
             if plan.stop_after_failure:
                 stopped = True
 
+    def handle_messages(messages: List[tuple]) -> None:
+        for message in messages:
+            _handle_message(message, pool, states, results, plan, metrics,
+                            stats, finish, task_failed, what)
+
     def reap(worker_id: int, reason: str, now: float) -> None:
         """A worker died or was killed mid-task: fail the task, replace
         the worker if unfinished work still needs a seat."""
@@ -435,9 +439,7 @@ def _run_pool(tasks, init_fn, init_args, plan, controller, on_result,
                 handle.assign(task, state.attempts)
 
             # Pump worker messages.
-            for message in _drain(pool.result_queue, timeout=_POLL_S):
-                _handle_message(message, pool, states, results, plan,
-                                metrics, stats, finish, task_failed, what)
+            handle_messages(pool.receive(timeout=_POLL_S))
 
             # Health sweep: crashes, per-task timeouts, lost heartbeats.
             now = time.monotonic()
@@ -446,6 +448,8 @@ def _run_pool(tasks, init_fn, init_args, plan, controller, on_result,
                 if handle is None:
                     continue
                 if not handle.alive:
+                    # What it sent before dying still counts.
+                    handle_messages(pool.read(handle))
                     reap(worker_id, "worker crashed", now)
                     continue
                 if handle.running is None:
@@ -545,17 +549,3 @@ def _mark_worker_idle(pool, worker_id, key, now) -> None:
         handle.last_signal = now
         handle.tasks_done += 1
 
-
-def _drain(result_queue, timeout: float) -> List[tuple]:
-    """All currently queued messages (blocking up to ``timeout`` for
-    the first one)."""
-    messages: List[tuple] = []
-    try:
-        messages.append(result_queue.get(timeout=timeout))
-    except queue_module.Empty:
-        return messages
-    while True:
-        try:
-            messages.append(result_queue.get_nowait())
-        except queue_module.Empty:
-            return messages

@@ -148,7 +148,8 @@ def _parallel_round(strategy: SearchStrategy, candidates: List[Candidate],
         def on_result(result) -> None:
             # Crash-safety: persist finished chunks immediately (in
             # completion order — record() is keyed, so the canonical
-            # re-record during the merge below is a harmless dedup).
+            # re-record during the merge below is a dedup that neither
+            # counts toward nor triggers a save).
             if checkpoint is None or not result.ok:
                 return
             for position, energy, feasible in result.value["cells"]:
@@ -162,6 +163,7 @@ def _parallel_round(strategy: SearchStrategy, candidates: List[Candidate],
                     best_energy=energy if widths is not None else math.inf,
                     best_point=point if widths is not None else None,
                     best_widths=widths)
+            checkpoint.flush()
 
         run = run_sharded(tasks, init_fn=_shard_init,
                           init_args=(problem, budgets, engine_name,

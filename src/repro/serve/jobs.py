@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
@@ -72,6 +73,14 @@ _REQUEST_FIELDS = ("circuit", "deck", "frequency_mhz", "activity",
                    "priority", "deadline_s", "robust", "yield_target",
                    "sigma_within", "sigma_die", "robust_samples",
                    "robust_cull_samples", "robust_seed", "robust_margin_z")
+
+
+def _is_finite(value: object) -> bool:
+    """True for a finite real number (NaN, infinities, strings: False)."""
+    try:
+        return math.isfinite(value)
+    except TypeError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -129,6 +138,17 @@ class JobRequest:
     def __post_init__(self) -> None:
         if not self.circuit:
             raise OptimizationError("job request needs a circuit name")
+        # NaN slips past every ordering check below; reject it (and
+        # infinities) here so the spool answers "invalid" instead of a
+        # worker failing deep inside the solve.
+        finite = {"frequency_mhz": self.frequency_mhz,
+                  "activity": self.activity}
+        if self.deadline_s is not None:
+            finite["deadline_s"] = self.deadline_s
+        for name, value in finite.items():
+            if not _is_finite(value):
+                raise OptimizationError(
+                    f"{name} must be a finite number, got {value!r}")
         if self.frequency_mhz <= 0.0:
             raise OptimizationError(
                 f"frequency_mhz must be > 0, got {self.frequency_mhz}")

@@ -14,6 +14,7 @@ import pytest
 from repro.errors import CheckpointError, RunCancelled
 from repro.optimize.heuristic import optimize_joint
 from repro.runtime.checkpoint import (
+    CHECKPOINT_EVERY,
     FORMAT_KEY,
     FORMAT_VERSION,
     SearchCheckpoint,
@@ -73,6 +74,18 @@ class TestSearchCheckpointUnit:
         assert not path.exists()
         checkpoint.flush()
         assert SearchCheckpoint.load(path, FINGERPRINT).completed == 2
+
+    def test_rerecording_a_logged_corner_does_not_count(self, tmp_path):
+        path = tmp_path / "dedup.json"
+        checkpoint = SearchCheckpoint(FINGERPRINT, path=path, every=2)
+        checkpoint.record(1.0, 0.2, 2e-12, True, 2e-12, (1.0, 0.2), {})
+        # The merge of a pooled round re-records corners its finished
+        # chunks already logged; with no better best, nothing changed.
+        checkpoint.record(1.0, 0.2, 2e-12, True, 2e-12, (1.0, 0.2), {})
+        assert not path.exists()
+        # A logged corner with a better best snapshot does count.
+        checkpoint.record(1.0, 0.2, 2e-12, True, 1e-12, (1.1, 0.2), {})
+        assert SearchCheckpoint.load(path, FINGERPRINT).best_energy == 1e-12
 
     def test_fingerprint_mismatch_rejected(self, tmp_path):
         path = tmp_path / "state.json"
@@ -173,3 +186,46 @@ class TestCheckpointedSearch:
                                  resume_from=path)
         _assert_same_optimum(resumed, reference)
         assert 0 < resumed.details["resumed_corners"] <= interrupt_after
+
+
+def test_sigkill_loss_is_bounded_by_the_cadence(
+        s27_problem, fast_settings, reference, tmp_path):
+    """What a SIGKILL would leave on disk after k recorded evaluations.
+
+    Each snapshot of the live checkpoint is a prefix of the final log,
+    is at most ``CHECKPOINT_EVERY - 1`` evaluations behind, and resumes
+    to the uninterrupted optimum.
+    """
+    path = tmp_path / "live.ckpt"
+    wanted = {1, CHECKPOINT_EVERY - 1, CHECKPOINT_EVERY,
+              CHECKPOINT_EVERY + 13, 3 * CHECKPOINT_EVERY - 1}
+    snapshots = {}
+    recorded = []
+
+    def snapshot(event):
+        # Serial searches report once per fresh (recorded) corner.
+        recorded.append(event)
+        k = len(recorded)
+        if k in wanted:
+            snapshots[k] = path.read_bytes() if path.exists() else None
+
+    controller = RunController(progress=snapshot, checkpoint_path=path)
+    settings = dataclasses.replace(fast_settings, controller=controller)
+    _assert_same_optimum(optimize_joint(s27_problem, settings=settings),
+                         reference)
+    assert sorted(snapshots) == sorted(wanted)
+    final_log = json.loads(path.read_text())["evaluations"]
+    assert len(final_log) == len(recorded)
+
+    for k, data in sorted(snapshots.items()):
+        log = json.loads(data)["evaluations"] if data is not None else []
+        assert log == final_log[:len(log)], f"k={k}: not a prefix"
+        assert k - (CHECKPOINT_EVERY - 1) <= len(log) <= k
+        if data is None:
+            continue
+        copy = tmp_path / f"killed-at-{k}.ckpt"
+        copy.write_bytes(data)
+        resumed = optimize_joint(s27_problem, settings=fast_settings,
+                                 resume_from=copy)
+        _assert_same_optimum(resumed, reference)
+        assert resumed.details["resumed_corners"] == len(log)

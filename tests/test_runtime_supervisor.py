@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.errors import OptimizationError
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.obs.trace import Tracer, use_tracer
+from repro.runtime.controller import RunController
 from repro.runtime.faults import FaultSpec, plan_to_json
 from repro.runtime.pool import in_worker, multiprocessing_available
 from repro.runtime.supervisor import (ParallelPlan, current_parallel,
@@ -66,6 +67,11 @@ def _always_fail(_state):
 def _sleep_long(_state):
     time.sleep(60.0)
     return "never"  # pragma: no cover
+
+
+def _busy_square(_state, value):
+    time.sleep(0.03)  # long enough for a stream of heartbeats
+    return value * value
 
 
 def _stop_self(_state):
@@ -338,6 +344,22 @@ class TestPoolExecution:
         assert "FaultInjectedError" in victim.error
         # The parent process never armed the plan.
         assert not hasattr(energy.total_energy, ORIGINAL_ATTR)
+
+    def test_crashes_amid_heartbeats_never_wedge_the_survivors(self):
+        """Half the tasks SIGKILL their worker while the others stream
+        heartbeats: no kill may silence the surviving workers. The
+        deadline turns a wedged pool into a failure, not a hang."""
+        tasks = [Task(key=f"t{i}", index=i, fn=_busy_square, args=(i,))
+                 for i in range(12)]
+        plan = ParallelPlan(jobs=3, retries=1, heartbeat_s=0.001,
+                            crash_tasks=tuple(f"t{i}"
+                                              for i in range(0, 12, 2)),
+                            backoff_base_s=0.001, backoff_cap_s=0.002)
+        for _ in range(3):
+            run = run_sharded(tasks, plan=plan,
+                              controller=RunController(deadline_s=30.0))
+            assert run.values() == tuple(i * i for i in range(12))
+            assert run.stats.worker_respawns >= 6
 
     @given(crash=st.integers(min_value=0, max_value=6),
            jobs=st.integers(min_value=2, max_value=4))

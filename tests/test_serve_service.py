@@ -8,10 +8,11 @@ and recomputed, never resumed; overload is a labeled rejection.
 """
 
 import json
+import math
 
 import pytest
 
-from repro.errors import ServiceOverloaded
+from repro.errors import OptimizationError, ServiceOverloaded
 from repro.obs.instrument import (SERVE_CACHE_HITS, SERVE_CACHE_MISSES,
                                   SERVE_CHECKPOINT_DISCARDED,
                                   SERVE_JOBS_RECOVERED,
@@ -175,6 +176,37 @@ class TestSpoolProtocol:
         reply = json.loads(
             (tmp_path / "replies" / f"{ticket}.json").read_text())
         assert reply["status"] == "invalid"
+        assert service.jobs == {}
+
+
+class TestNonFiniteAdmission:
+    """NaN passes every ``<= 0`` check; admission must still refuse it."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_frequency_rejected(self, value):
+        with pytest.raises(OptimizationError, match="frequency_mhz"):
+            JobRequest(circuit="s27", frequency_mhz=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_activity_rejected(self, value):
+        with pytest.raises(OptimizationError, match="activity"):
+            JobRequest(circuit="s27", activity=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_deadline_rejected(self, value):
+        with pytest.raises(OptimizationError, match="deadline_s"):
+            JobRequest(circuit="s27", deadline_s=value)
+
+    def test_spool_answers_invalid_and_journals_nothing(self, tmp_path):
+        service = make_service(tmp_path)
+        ticket = new_ticket()
+        (tmp_path / "spool" / f"{ticket}.json").write_text(
+            json.dumps(dict(FAST, frequency_mhz=math.nan)))
+        service.poll_spool()
+        reply = json.loads(
+            (tmp_path / "replies" / f"{ticket}.json").read_text())
+        assert reply["status"] == "invalid"
+        assert "frequency_mhz" in reply["message"]
         assert service.jobs == {}
 
 

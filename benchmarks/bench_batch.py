@@ -10,11 +10,12 @@ Times the two workloads the batch axis was built for, on s298:
   measured via ``measure_batch`` vs the per-die loop, identical
   estimates asserted, >= 2x speedup.
 
-Also records the satellite ``_external_caps`` gather note: the
-boundary-fanout gather is now a precomputed clamped index array
-(``ArrayContext.fanout_safe_idx``) instead of a fill + boolean-mask
-double gather per call; the microbenchmark below times the gather-heavy
-STA inner loop to document the effect in this bench's artifact.
+Also records a gather note: STA reads sink widths with one fancy index
+into a padded width vector (the boundary sentinel points at a slot
+holding ``BOUNDARY_WIDTH``; see ``ArrayContext.sweep_plan``) instead of
+a fill + boolean-mask double gather per call; the microbenchmark below
+times the gather-heavy STA inner loop to document the effect in this
+bench's artifact.
 
 Speedup floors are asserted only on hosts with >= 2 cores (mirroring
 ``bench_parallel.py``: a loaded single-core runner times nothing
@@ -103,16 +104,16 @@ def test_batched_evaluation_speedup(benchmark, record_artifact, record_json):
     assert batched_estimate.to_dict() == looped_estimate.to_dict()
     robust_speedup = robust_loop_s / robust_batch_s
 
-    # Satellite note: the _external_caps boundary gather. Time the
-    # gather-heavy STA at fixed widths — the hot path the precomputed
-    # fanout_safe_idx clamp serves — and archive the per-call cost.
+    # Gather note: the boundary-sink gather. Time the gather-heavy STA
+    # at fixed widths — the hot path the sweep plan's padded gather
+    # serves — and archive the per-call cost.
     gates = problem.ctx.gates
     sta_widths = {name: 8.0 for name in gates}
     calls = 200
     _, sta_s = _timed(lambda: [fast.sta(2.0, 0.3, sta_widths)
                                for _ in range(calls)])
-    gather_note = (f"_external_caps gather: precomputed fanout_safe_idx "
-                   f"clamp (was fill + boolean-mask double gather); "
+    gather_note = (f"fanout gather: sweep-plan padded width index "
+                   f"(was fill + boolean-mask double gather); "
                    f"STA now {1e6 * sta_s / calls:.0f} us/call on "
                    f"{CIRCUIT}")
 

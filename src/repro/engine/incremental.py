@@ -45,8 +45,8 @@ import numpy as np
 from repro.engine.array import ArrayEngine
 from repro.engine.base import Engine, EngineMeasurement, EngineSizing
 from repro.errors import OptimizationError, TimingError
-from repro.fastpath.arrays import _CSR
-from repro.fastpath.evaluate import _currents, _segment, _slope_coefficients
+from repro.fastpath.arrays import Segments
+from repro.fastpath.evaluate import _currents, _propagate, _slope_coefficients
 from repro.obs import trace
 from repro.obs.instrument import (
     INCREMENTAL_CONE_GATES,
@@ -78,7 +78,7 @@ class _MovePlan:
 
     __slots__ = ("rows", "ptr", "is_gate", "gate_sinks", "caps", "res",
                  "half_branch_cap", "wire_plus_boundary", "flight",
-                 "self_cap", "activity", "csr")
+                 "self_cap", "activity", "segments")
 
     def __init__(self, arrays, rows: np.ndarray):
         fanout = arrays.fanout
@@ -98,10 +98,10 @@ class _MovePlan:
         self.half_branch_cap = 0.5 * arrays.branch_cap[entries]
         self.wire_plus_boundary = (arrays.wire_cap[rows]
                                    + arrays.boundary_cap[rows])
-        self.csr = _CSR(self.ptr, entry_sinks)
+        self.segments = Segments(self.ptr)
         # Flight is width-independent: reduce it once, here.
-        self.flight = _segment(self.csr, arrays.branch_flight[entries],
-                               np.maximum, 0.0)
+        self.flight = self.segments.reduce(np.maximum,
+                                           arrays.branch_flight[entries])
         self.self_cap = arrays.self_cap[rows]
         self.activity = arrays.activity[rows]
 
@@ -109,8 +109,8 @@ class _MovePlan:
                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(ext, wire_rc, flight) for :attr:`rows` at widths ``w``.
 
-        Mirrors :func:`repro.fastpath.evaluate._external_caps` term by
-        term over the same entry order, so every per-row value is
+        Mirrors :meth:`repro.fastpath.arrays.FanoutRows.parasitics` term
+        by term over the same entry order, so every per-row value is
         bit-identical to the full-range kernel's row.
         """
         sink_w = np.full(self.is_gate.shape, boundary_width)
@@ -118,8 +118,8 @@ class _MovePlan:
         cap_entries = np.where(self.is_gate, sink_w * self.caps, 0.0)
         rc_entries = self.res * (self.half_branch_cap + sink_w * self.caps)
         ext = (self.wire_plus_boundary
-               + _segment(self.csr, cap_entries, np.add, 0.0))
-        rc = _segment(self.csr, rc_entries, np.maximum, 0.0)
+               + self.segments.reduce(np.add, cap_entries))
+        rc = self.segments.reduce(np.maximum, rc_entries)
         return ext, rc, self.flight
 
 
@@ -159,17 +159,6 @@ class IncrementalEngine(Engine):
              view.fanout_idx[view.fanout_ptr[i]:view.fanout_ptr[i + 1]]
              if sink >= 0]
             for i in range(n)]
-
-        # Per-level fanin views for the full-refresh sweep (constant, so
-        # hoisted out of the per-refresh loop; fast_sta rebuilds them).
-        self._level_views = []
-        for start, stop in arrays.level_slices:
-            lo = arrays.fanin.ptr[start]
-            hi = arrays.fanin.ptr[stop]
-            idx = arrays.fanin.indices[lo:hi]
-            self._level_views.append(
-                (start, stop, _CSR(arrays.fanin.ptr[start:stop + 1] - lo, idx),
-                 idx))
 
         # Output rows for the critical-delay reduction, validated the
         # same way fast_sta validates them (primary-input outputs arrive
@@ -338,14 +327,11 @@ class IncrementalEngine(Engine):
         """Full re-evaluation at the current (w, Vdd, Vth).
 
         Expression-for-expression the same computation as ``fast_sta`` +
-        ``fast_total_energy`` (with the per-level fanin views hoisted),
-        so the refreshed state is bit-identical to the inner engine's.
+        ``fast_total_energy`` (the same sweep plan and propagation), so
+        the refreshed state is bit-identical to the inner engine's.
         """
-        from repro.fastpath.evaluate import _external_caps
-
         arrays = self.arrays
         tech = arrays.ctx.tech
-        n = arrays.n_gates
         vdd, vth, w = self._vdd, self._vth, self._w
 
         current, off = _currents(arrays, vdd, vth)
@@ -356,7 +342,8 @@ class IncrementalEngine(Engine):
         self._k_vdd = tech.velocity_saturation_coeff * vdd
 
         if recompute_parasitics:
-            ext, rc, flight = _external_caps(arrays, w, 0, n)
+            plan = arrays.sweep_plan()
+            ext, rc, flight = plan.full.parasitics(plan.pad(w))
             self._ext, self._rc, self._flight_vec = ext, rc, flight
             self._load = w * arrays.self_cap + ext
 
@@ -366,18 +353,8 @@ class IncrementalEngine(Engine):
                                  / (self._drive * w), np.inf)
         self._fixed = switching + self._rc + self._flight_vec
 
-        delays = np.zeros(n)
-        arrivals = np.zeros(n)
-        slope_k = self._slope_k
-        fixed = self._fixed
-        for start, stop, view, idx in reversed(self._level_views):
-            max_fanin_delay = _segment(view, delays[idx], np.maximum, 0.0)
-            max_fanin_arrival = _segment(view, arrivals[idx], np.maximum, 0.0)
-            delays[start:stop] = (_rows_of(slope_k, slice(start, stop))
-                                  * max_fanin_delay + fixed[start:stop])
-            arrivals[start:stop] = max_fanin_arrival + delays[start:stop]
-        self._delays = delays
-        self._arrivals = arrivals
+        self._delays, self._arrivals = _propagate(arrays, self._slope_k,
+                                                  self._fixed)
 
         self._static_terms = vdd * w * off / self._frequency
         self._dynamic_terms = 0.5 * arrays.activity * vdd * vdd * self._load

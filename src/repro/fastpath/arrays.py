@@ -30,10 +30,6 @@ class _CSR:
     ptr: np.ndarray
     indices: np.ndarray
 
-    @property
-    def row_lengths(self) -> np.ndarray:
-        return np.diff(self.ptr)
-
 
 class ArrayContext:
     """Precomputed array state for one :class:`CircuitContext`."""
@@ -115,14 +111,6 @@ class ArrayContext:
         self.boundary_cap = np.asarray(boundary_cap)
         #: True where the CSR entry is a real gate (width looked up).
         self.fanout_is_gate = self.fanout.indices >= 0
-        #: Gather-safe sink indices: boundary sentinels (-1) clamped to 0
-        #: so ``w[fanout_safe_idx]`` is a single flat gather; the bogus
-        #: row-0 widths are masked off by ``fanout_is_gate``. Precomputed
-        #: once here — the per-evaluation boolean-mask gather it replaces
-        #: was superlinear on wide-fanout rows (two fancy indexes plus a
-        #: fill per level, per call).
-        self.fanout_safe_idx = np.where(self.fanout_is_gate,
-                                        self.fanout.indices, 0)
 
         # Fanin CSR (logic-gate fanins only; PI fanins contribute zero).
         fanin_ptr = [0]
@@ -190,6 +178,20 @@ class ArrayContext:
             self._python_view = view
         return view
 
+    def sweep_plan(self) -> "SweepPlan":
+        """The per-level gather constants of the sizing and STA sweeps.
+
+        Built on first use and cached, like :meth:`python_view`; every
+        kernel that walks the levels (width sizing, STA, energy, the
+        incremental engine's refresh) reads its width-independent
+        constants from here instead of re-slicing them per call.
+        """
+        plan = getattr(self, "_sweep_plan", None)
+        if plan is None:
+            plan = SweepPlan(self)
+            self._sweep_plan = plan
+        return plan
+
     def widths_to_array(self, widths: Dict[str, float]) -> np.ndarray:
         """A ``{name: w}`` map in processing order."""
         return np.asarray([widths[name] for name in self.gate_names])
@@ -216,22 +218,11 @@ class ArrayContext:
 
     def segment_sum(self, csr: _CSR, values: np.ndarray) -> np.ndarray:
         """Per-row sums of ``values`` (aligned with csr.indices)."""
-        result = np.zeros(len(csr.ptr) - 1)
-        nonempty = csr.row_lengths > 0
-        if values.size:
-            sums = np.add.reduceat(values, csr.ptr[:-1][nonempty])
-            result[nonempty] = sums
-        return result
+        return Segments(csr.ptr).reduce(np.add, values)
 
-    def segment_max(self, csr: _CSR, values: np.ndarray,
-                    empty: float = 0.0) -> np.ndarray:
-        """Per-row maxima of ``values`` (``empty`` for empty rows)."""
-        result = np.full(len(csr.ptr) - 1, empty)
-        nonempty = csr.row_lengths > 0
-        if values.size:
-            maxima = np.maximum.reduceat(values, csr.ptr[:-1][nonempty])
-            result[nonempty] = maxima
-        return result
+    def segment_max(self, csr: _CSR, values: np.ndarray) -> np.ndarray:
+        """Per-row maxima of ``values`` (0.0 for empty rows)."""
+        return Segments(csr.ptr).reduce(np.maximum, values)
 
 
 class PythonView:
@@ -256,3 +247,126 @@ class PythonView:
         self.fanin_ptr: List[int] = arrays.fanin.ptr.tolist()
         self.fanin_idx: List[int] = arrays.fanin.indices.tolist()
         self.scalar_order: List[int] = arrays.scalar_order.tolist()
+
+
+class Segments:
+    """Row-wise reduction layout of one CSR slice.
+
+    ``reduce(op, values)`` applies ``op.reduceat`` along the last axis
+    of ``values`` (one entry per CSR entry, any leading design axis) and
+    returns one value per row; rows without entries read ``0.0``. The
+    starts and the empty-row mask are computed once, here.
+    """
+
+    __slots__ = ("rows", "starts", "nonempty")
+
+    def __init__(self, ptr: np.ndarray):
+        nonempty = np.diff(ptr) > 0
+        self.rows = len(ptr) - 1
+        self.starts = ptr[:-1][nonempty]
+        #: None when every row has entries (the result is reduceat's).
+        self.nonempty = None if nonempty.all() else nonempty
+
+    def reduce(self, op, values: np.ndarray) -> np.ndarray:
+        if self.nonempty is None:
+            return op.reduceat(values, self.starts, axis=-1)
+        result = np.zeros(values.shape[:-1] + (self.rows,))
+        if self.starts.size:
+            result[..., self.nonempty] = op.reduceat(values, self.starts,
+                                                     axis=-1)
+        return result
+
+
+class FanoutRows:
+    """Width-independent constants of the fanout gather of rows
+    ``start:stop``.
+
+    :meth:`parasitics` reads sink widths from a *padded* width vector
+    (see :meth:`SweepPlan.pad`): the boundary sentinel points at the
+    extra slot ``n``, which holds ``BOUNDARY_WIDTH``, so the gather is
+    one fancy index with no mask. Boundary receivers' caps are already
+    folded into ``boundary_cap``, so their entries in ``gate_caps`` are
+    0. The flight maxima do not depend on widths and are reduced once.
+    """
+
+    __slots__ = ("start", "stop", "sinks", "caps", "gate_caps", "res",
+                 "half_branch_cap", "fixed_cap", "flight", "segments")
+
+    def __init__(self, arrays: ArrayContext, start: int, stop: int):
+        ptr = arrays.fanout.ptr
+        lo, hi = ptr[start], ptr[stop]
+        is_gate = arrays.fanout_is_gate[lo:hi]
+        self.start = start
+        self.stop = stop
+        self.sinks = np.where(is_gate, arrays.fanout.indices[lo:hi],
+                              arrays.n_gates)
+        self.caps = arrays.fanout_cap[lo:hi]
+        self.gate_caps = np.where(is_gate, self.caps, 0.0)
+        self.res = arrays.branch_res[lo:hi]
+        self.half_branch_cap = 0.5 * arrays.branch_cap[lo:hi]
+        self.fixed_cap = (arrays.wire_cap[start:stop]
+                          + arrays.boundary_cap[start:stop])
+        self.segments = Segments(ptr[start:stop + 1] - lo)
+        self.flight = self.segments.reduce(np.maximum,
+                                           arrays.branch_flight[lo:hi])
+        self.flight.flags.writeable = False  # shared with every caller
+
+    def parasitics(self, padded_w: np.ndarray
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(ext_cap, wire_rc, flight)`` of the rows at these widths.
+
+        ``padded_w`` is ``(n + 1,)`` or ``(B, n + 1)``; the results
+        carry the same leading axis, except ``flight`` (always 1-D).
+        """
+        sink_w = padded_w[..., self.sinks]
+        ext = self.fixed_cap + self.segments.reduce(
+            np.add, sink_w * self.gate_caps)
+        rc = self.segments.reduce(
+            np.maximum, self.res * (self.half_branch_cap + sink_w * self.caps))
+        return ext, rc, self.flight
+
+
+class FaninRows:
+    """The fanin gather of rows ``start:stop`` (the forward STA step)."""
+
+    __slots__ = ("start", "stop", "fanins", "segments")
+
+    def __init__(self, arrays: ArrayContext, start: int, stop: int):
+        ptr = arrays.fanin.ptr
+        lo, hi = ptr[start], ptr[stop]
+        self.start = start
+        self.stop = stop
+        self.fanins = arrays.fanin.indices[lo:hi]
+        self.segments = Segments(ptr[start:stop + 1] - lo)
+
+
+class SweepPlan:
+    """Per-level constants of the level sweeps, built once per circuit.
+
+    See :meth:`ArrayContext.sweep_plan`. ``levels`` and ``fanin_levels``
+    follow :attr:`ArrayContext.level_slices` (processing order); ``full``
+    covers every row at once (STA and energy). The ``floor_*`` arrays
+    hold the width-dependent terms of the delay floor behind the
+    repair's infeasibility certificate: every gate at ``w_max`` driving
+    sinks at ``w_min``.
+    """
+
+    def __init__(self, arrays: ArrayContext):
+        n = arrays.n_gates
+        tech = arrays.ctx.tech
+        self.boundary_width = float(arrays.ctx.BOUNDARY_WIDTH)
+        self.levels = tuple(FanoutRows(arrays, start, stop)
+                            for start, stop in arrays.level_slices)
+        self.fanin_levels = tuple(FaninRows(arrays, start, stop)
+                                  for start, stop in arrays.level_slices)
+        self.full = FanoutRows(arrays, 0, n)
+        ext, rc, _ = self.full.parasitics(
+            self.pad(np.full(n, tech.width_min)))
+        #: ``w_max * self_cap + ext`` with every gate sink at ``w_min``.
+        self.floor_load = tech.width_max * arrays.self_cap + ext
+        self.floor_rc = rc
+
+    def pad(self, w: np.ndarray) -> np.ndarray:
+        """``w`` (``(n,)`` or ``(B, n)``) with the boundary slot appended."""
+        pad = np.full(w.shape[:-1] + (1,), self.boundary_width)
+        return np.concatenate((w, pad), axis=-1)

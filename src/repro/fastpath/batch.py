@@ -171,13 +171,6 @@ def normalize_args(arrays: ArrayContext, vdd, vth,
             as_batch_value(arrays, vth, batch), w, batch)
 
 
-def _cols(value, start: int, stop: int):
-    """A level column-slice of a float / (B,1) / (?,n) quantity."""
-    if not isinstance(value, np.ndarray) or value.shape[1] == 1:
-        return value
-    return value[:, start:stop]
-
-
 def batch_currents(arrays: ArrayContext, vdd: BatchValue, vth: BatchValue):
     """Per-gate ``(drain, off)`` per unit width, batched.
 
@@ -220,43 +213,6 @@ def _batch_drive(arrays: ArrayContext, vdd: BatchValue, vth: BatchValue,
         np.broadcast_to(drive, (batch, arrays.n_gates)))
 
 
-def _batch_segment(local_ptr: np.ndarray, values: np.ndarray, op,
-                   empty: float) -> np.ndarray:
-    """Row-wise segment reduction of a ``(B, E)`` value array."""
-    rows = len(local_ptr) - 1
-    result = np.full((values.shape[0], rows), empty)
-    nonempty = np.diff(local_ptr) > 0
-    if values.shape[1] and nonempty.any():
-        result[:, nonempty] = op.reduceat(values, local_ptr[:-1][nonempty],
-                                          axis=1)
-    return result
-
-
-def batch_external_caps(arrays: ArrayContext, w: np.ndarray, start: int,
-                        stop: int) -> Tuple[np.ndarray, np.ndarray,
-                                            np.ndarray]:
-    """Batched ``(ext_cap, wire_rc, flight)`` for gate rows
-    ``start:stop``; ``flight`` is width-independent and stays 1-D."""
-    lo = arrays.fanout.ptr[start]
-    hi = arrays.fanout.ptr[stop]
-    is_gate = arrays.fanout_is_gate[lo:hi]
-    caps = arrays.fanout_cap[lo:hi]
-    sink_w = np.where(is_gate, w[:, arrays.fanout_safe_idx[lo:hi]],
-                      arrays.ctx.BOUNDARY_WIDTH)
-    cap_entries = np.where(is_gate, sink_w * caps, 0.0)
-    rc_entries = arrays.branch_res[lo:hi] * (
-        0.5 * arrays.branch_cap[lo:hi] + sink_w * caps)
-
-    local_ptr = arrays.fanout.ptr[start:stop + 1] - lo
-    ext = (arrays.wire_cap[start:stop] + arrays.boundary_cap[start:stop]
-           + _batch_segment(local_ptr, cap_entries, np.add, 0.0))
-    rc = _batch_segment(local_ptr, rc_entries, np.maximum, 0.0)
-    flight = _ev._segment(
-        _ev._CSR(local_ptr, arrays.fanout.indices[lo:hi]),
-        arrays.branch_flight[lo:hi], np.maximum, 0.0)
-    return ext, rc, flight
-
-
 def batch_sta(arrays: ArrayContext, vdd: BatchValue, vth: BatchValue,
               w: np.ndarray, batch: int,
               currents=None) -> Tuple[np.ndarray, np.ndarray]:
@@ -274,29 +230,14 @@ def batch_sta(arrays: ArrayContext, vdd: BatchValue, vth: BatchValue,
         slope_k = batch_slope_coefficients(arrays, vdd, vth)
         k_vdd = tech.velocity_saturation_coeff * vdd.values
 
-        ext, rc, flight = batch_external_caps(arrays, w, 0, n)
+        plan = arrays.sweep_plan()
+        ext, rc, flight = plan.full.parasitics(plan.pad(w))
         load = w * arrays.self_cap + ext
         with np.errstate(divide="ignore", invalid="ignore"):
             switching = np.where(drive > 0.0, k_vdd * load / (drive * w),
                                  np.inf)
         fixed = switching + rc + flight
-
-        delays = np.zeros((batch, n))
-        arrivals = np.zeros((batch, n))
-        for start, stop in reversed(arrays.level_slices):
-            lo = arrays.fanin.ptr[start]
-            hi = arrays.fanin.ptr[stop]
-            idx = arrays.fanin.indices[lo:hi]
-            local_ptr = arrays.fanin.ptr[start:stop + 1] - lo
-            max_fanin_delay = _batch_segment(local_ptr, delays[:, idx],
-                                             np.maximum, 0.0)
-            max_fanin_arrival = _batch_segment(local_ptr, arrivals[:, idx],
-                                               np.maximum, 0.0)
-            delays[:, start:stop] = (_cols(slope_k, start, stop)
-                                     * max_fanin_delay
-                                     + fixed[:, start:stop])
-            arrivals[:, start:stop] = (max_fanin_arrival
-                                       + delays[:, start:stop])
+        delays, arrivals = _ev._propagate(arrays, slope_k, fixed)
         current_metrics().incr(DELAY_MODEL_CALLS, n * batch)
 
     network = arrays.ctx.network
@@ -330,7 +271,8 @@ def batch_total_energy(arrays: ArrayContext, vdd: BatchValue,
         ones = np.ones((batch, 1))
         static = np.sum((vdd.values * w * off / frequency) * ones, axis=1)
 
-        ext, _, _ = batch_external_caps(arrays, w, 0, arrays.n_gates)
+        plan = arrays.sweep_plan()
+        ext, _, _ = plan.full.parasitics(plan.pad(w))
         load = w * arrays.self_cap + ext
         dynamic = np.sum(
             (0.5 * arrays.activity * vdd.values * vdd.values * load) * ones,
@@ -345,8 +287,7 @@ def batch_total_energy(arrays: ArrayContext, vdd: BatchValue,
             io_rail = vdd.values
         sink_entries = w[:, arrays.input_fanout.indices] \
             * arrays.input_fanout_cap
-        sink_caps = _batch_segment(arrays.input_fanout.ptr, sink_entries,
-                                   np.add, 0.0)
+        sink_caps = arrays.segment_sum(arrays.input_fanout, sink_entries)
         input_load = (arrays.input_self_plus_wire + arrays.input_fixed_cap
                       + sink_caps)
         dynamic = dynamic + np.sum(
@@ -392,8 +333,8 @@ def _batch_size_widths(arrays: ArrayContext, budgets: np.ndarray,
     bad = np.any(drive <= 0.0, axis=1)
 
     slope_k = batch_slope_coefficients(arrays, vdd, vth)
-    fanin_budget = arrays.segment_max(
-        arrays.fanin, budgets[arrays.fanin.indices], empty=0.0)
+    fanin_budget = arrays.segment_max(arrays.fanin,
+                                      budgets[arrays.fanin.indices])
     slope = np.ascontiguousarray(np.broadcast_to(
         slope_k * fanin_budget, (batch, n)))
 
@@ -401,17 +342,21 @@ def _batch_size_widths(arrays: ArrayContext, budgets: np.ndarray,
     with np.errstate(all="ignore"):
         self_term = np.ascontiguousarray(np.broadcast_to(
             k_vdd * arrays.self_cap / drive, (batch, n)))
+    headroom = budgets - slope
 
-    w = np.ones((batch, n))
+    plan = arrays.sweep_plan()
+    padded = plan.pad(np.ones((batch, n)))
+    w = padded[:, :n]
     feasible = ~bad
     needs_repair = np.zeros(batch, dtype=bool)
     with np.errstate(all="ignore"):
-        for start, stop in arrays.level_slices:
-            ext, rc, flight = batch_external_caps(arrays, w, start, stop)
+        for level in plan.levels:
+            start, stop = level.start, level.stop
+            ext, rc, flight = level.parasitics(padded)
             if method == "closed_form":
-                available = (budgets[start:stop] - slope[:, start:stop]
-                             - rc - flight - self_term[:, start:stop])
-                ext_term = (_cols(k_vdd, start, stop) * ext
+                available = (headroom[:, start:stop] - rc - flight
+                             - self_term[:, start:stop])
+                ext_term = (_ev._cols(k_vdd, start, stop) * ext
                             / drive[:, start:stop])
                 needed = np.where(available > 0.0, ext_term / available,
                                   np.inf)
@@ -453,7 +398,7 @@ def _batch_size_widths(arrays: ArrayContext, budgets: np.ndarray,
         # ~(> ceiling), not (<= ceiling): identical to the looped check
         # even for NaN criticals (NaN compares False either way).
         feasible[rows] &= ~(critical > repair_ceiling * (1.0 + 1e-9))
-    return BatchSizing(widths=w, feasible=feasible,
+    return BatchSizing(widths=np.ascontiguousarray(w), feasible=feasible,
                        repaired=tuple(repaired))
 
 
@@ -474,7 +419,7 @@ def _batch_bisect_level(arrays: ArrayContext, budgets: np.ndarray,
                         steps: int) -> np.ndarray:
     """``_bisect_level`` with a leading design axis (no warm probes)."""
     tech = arrays.ctx.tech
-    k_lvl = _cols(k_vdd, start, stop)
+    k_lvl = _ev._cols(k_vdd, start, stop)
     drive_lvl = drive[:, start:stop]
     self_lvl = arrays.self_cap[start:stop]
     fixed = slope[:, start:stop] + rc + flight

@@ -12,15 +12,23 @@ Per-gate transistor currents come from the array device model
 reference model (:mod:`repro.technology.mosfet` /
 :mod:`repro.technology.leakage`) bit for bit on every element.
 
+The level sweeps (sizing, STA, energy) read their width-independent
+per-level constants from the circuit's
+:class:`~repro.fastpath.arrays.SweepPlan`.
+
 Budget repair (``repair_ceiling``) runs inside the kernel: when the
 vectorized level sweep hits an under-budgeted gate, sizing restarts as a
 replay in the scalar search's exact processing order (repair mutates
 driver budgets sequentially, so order is semantics), with the same
-4-iteration deficit shift and the same full-STA re-verification. A gate
-that stays unsizable even after repair aborts the replay immediately —
-the corner is definitively infeasible and only the verdict is
-observable, so the remaining widths need not be produced (they are left
-at 1.0, unlike the scalar path's ``w_max`` placeholders).
+4-iteration deficit shift and the same full-STA re-verification. Before
+the replay walks the circuit, a critical-delay floor (every gate at
+``w_max``, every sink at ``w_min``) may certify that no sizing can pass
+that verification; the corner is then infeasible with nothing repaired,
+exactly as in the scalar reference. A gate that stays unsizable even
+after repair aborts the replay immediately — the corner is definitively
+infeasible and only the verdict is observable, so the remaining widths
+need not be produced (they are left at 1.0, unlike the scalar path's
+``w_max`` placeholders).
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from typing import Dict, List, Mapping, Tuple, Union
 import numpy as np
 
 from repro.errors import OptimizationError, TimingError
-from repro.fastpath.arrays import ArrayContext, _CSR
+from repro.fastpath.arrays import ArrayContext
 from repro.obs import trace
 from repro.obs.instrument import (
     BUDGET_REPAIRS,
@@ -49,6 +57,11 @@ from repro.timing.delay_model import slope_coefficient
 #: Smallest budget (s) a driver may be squeezed to during repair
 #: (mirrors ``repro.optimize.width_search._MIN_BUDGET``).
 _MIN_BUDGET = 1e-15
+
+#: The critical-delay floor above ``repair_ceiling * _CERTIFY_FACTOR``
+#: certifies a corner infeasible (mirrors
+#: ``repro.optimize.width_search._CERTIFY_FACTOR``).
+_CERTIFY_FACTOR = (1.0 + 1e-9) * (1.0 + 1e-6)
 
 #: A global voltage, a per-gate map, or a vector in array order.
 Voltage = Union[float, Mapping[str, float], np.ndarray]
@@ -103,51 +116,60 @@ def _at(value, index: int) -> float:
     return value
 
 
-def _sl(value, start: int, stop: int):
-    """A level slice of a scalar-or-vector quantity."""
-    if isinstance(value, np.ndarray):
-        return value[start:stop]
-    return value
+def _cols(value, start: int, stop: int):
+    """A level slice of a per-gate quantity: a scalar, a per-row scalar
+    column ``(B, 1)``, or a per-gate ``(n,)`` / ``(?, n)`` array."""
+    if not isinstance(value, np.ndarray) or value.shape[-1] == 1:
+        return value
+    return value[..., start:stop]
 
 
-def _external_caps(arrays: ArrayContext, w: np.ndarray, start: int,
-                   stop: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ext_cap, wire_rc, flight) for gate rows ``start:stop``.
+def _propagate(arrays: ArrayContext, slope_k, fixed: np.ndarray
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """The forward level sweep of STA: ``(delays, arrivals)``.
 
-    Boundary branches carry the sentinel index ``-1``; their receiver
-    cap is pre-folded into ``boundary_cap``. The width gather uses the
-    precomputed clamp-to-0 ``fanout_safe_idx`` (one flat gather + a
-    ``where``), replacing the boolean-mask double gather that was
-    superlinear on wide-fanout rows; the selected values are unchanged.
+    ``fixed`` is each gate's width-dependent delay (switching + wire RC
+    + flight), ``(n,)`` or ``(B, n)``; a gate's delay adds ``slope_k``
+    times its slowest fanin's delay, and its arrival adds its delay to
+    its latest fanin's arrival (primary-input fanins count 0.0).
     """
-    lo = arrays.fanout.ptr[start]
-    hi = arrays.fanout.ptr[stop]
-    idx = arrays.fanout.indices[lo:hi]
-    is_gate = arrays.fanout_is_gate[lo:hi]
-    sink_w = np.where(is_gate, w[arrays.fanout_safe_idx[lo:hi]],
-                      arrays.ctx.BOUNDARY_WIDTH)
-    cap_entries = np.where(is_gate,
-                           sink_w * arrays.fanout_cap[lo:hi], 0.0)
-    rc_entries = arrays.branch_res[lo:hi] * (
-        0.5 * arrays.branch_cap[lo:hi]
-        + sink_w * arrays.fanout_cap[lo:hi])
-    flight_entries = arrays.branch_flight[lo:hi]
-
-    view = _CSR(arrays.fanout.ptr[start:stop + 1] - lo, idx)
-    ext = (arrays.wire_cap[start:stop] + arrays.boundary_cap[start:stop]
-           + _segment(view, cap_entries, np.add, 0.0))
-    rc = _segment(view, rc_entries, np.maximum, 0.0)
-    flight = _segment(view, flight_entries, np.maximum, 0.0)
-    return ext, rc, flight
+    delays = np.zeros(fixed.shape)
+    arrivals = np.zeros(fixed.shape)
+    for level in reversed(arrays.sweep_plan().fanin_levels):
+        start, stop = level.start, level.stop
+        max_fanin_delay = level.segments.reduce(
+            np.maximum, delays[..., level.fanins])
+        max_fanin_arrival = level.segments.reduce(
+            np.maximum, arrivals[..., level.fanins])
+        delays[..., start:stop] = (_cols(slope_k, start, stop)
+                                   * max_fanin_delay
+                                   + fixed[..., start:stop])
+        arrivals[..., start:stop] = (max_fanin_arrival
+                                     + delays[..., start:stop])
+    return delays, arrivals
 
 
-def _segment(csr: _CSR, values: np.ndarray, op, empty: float) -> np.ndarray:
-    result = np.full(len(csr.ptr) - 1, empty)
-    lengths = np.diff(csr.ptr)
-    nonempty = lengths > 0
-    if values.size and nonempty.any():
-        result[nonempty] = op.reduceat(values, csr.ptr[:-1][nonempty])
-    return result
+def _critical(arrays: ArrayContext, arrivals: np.ndarray) -> float:
+    """The latest output arrival of one design (``0.0`` at minimum).
+
+    An output that is itself a primary input arrives at 0.0, exactly as
+    in the scalar pass; an output missing from both the gate index and
+    the primary inputs raises :class:`~repro.errors.TimingError`.
+    """
+    network = arrays.ctx.network
+    critical = 0.0
+    for name in network.outputs:
+        position = arrays.index.get(name)
+        if position is None:
+            if not network.gate(name).is_input:
+                raise TimingError(
+                    f"output {name!r} is neither a logic gate nor a "
+                    f"primary input")
+            arrival = 0.0  # ideal primary input feeding an output port
+        else:
+            arrival = float(arrivals[position])
+        critical = max(critical, arrival)
+    return critical
 
 
 @dataclass(frozen=True)
@@ -222,38 +244,45 @@ def _fast_size_widths(arrays: ArrayContext, budgets: np.ndarray,
         return FastSizing(widths=np.full(n, tech.width_max), feasible=False)
 
     slope_k = _slope_coefficients(arrays, vdd, vth)
-    fanin_budget = arrays.segment_max(arrays.fanin, budgets[
-        arrays.fanin.indices], empty=0.0)
+    fanin_budget = arrays.segment_max(arrays.fanin,
+                                      budgets[arrays.fanin.indices])
     slope = slope_k * fanin_budget
 
     k_vdd = tech.velocity_saturation_coeff * vdd
     self_term = k_vdd * arrays.self_cap / drive
+    # The closed form's ``budget - slope - rc - flight - self`` runs
+    # left to right; its first difference is width-independent.
+    headroom = budgets - slope
 
-    w = np.ones(n)
+    plan = arrays.sweep_plan()
+    padded = plan.pad(np.ones(n))
+    w = padded[:n]
     feasible = True
-    for start, stop in arrays.level_slices:
-        ext, rc, flight = _external_caps(arrays, w, start, stop)
-        if method == "closed_form":
-            available = (budgets[start:stop] - slope[start:stop]
-                         - rc - flight - self_term[start:stop])
-            ext_term = _sl(k_vdd, start, stop) * ext / _sl(drive, start, stop)
-            with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for level in plan.levels:
+            start, stop = level.start, level.stop
+            ext, rc, flight = level.parasitics(padded)
+            if method == "closed_form":
+                available = (headroom[start:stop] - rc - flight
+                             - self_term[start:stop])
+                ext_term = (_cols(k_vdd, start, stop) * ext
+                            / drive[start:stop])
                 needed = np.where(available > 0.0, ext_term / available,
                                   np.inf)
-        else:
-            needed = _bisect_level(arrays, budgets, slope, rc, flight,
-                                   k_vdd, drive, ext, start, stop,
-                                   bisect_steps, warm)
-        failed = needed > tech.width_max
-        if np.any(failed):
-            feasible = False
-            if repair_ceiling is not None:
-                # Restart as a scalar-order replay with repair enabled.
-                return _size_with_repair(arrays, budgets, vdd, vth, drive,
-                                         slope_k, k_vdd, method,
-                                         bisect_steps, repair_ceiling, warm)
-            needed = np.minimum(needed, tech.width_max)
-        w[start:stop] = np.maximum(needed, tech.width_min)
+            else:
+                needed = _bisect_level(arrays, budgets, slope, rc, flight,
+                                       k_vdd, drive, ext, start, stop,
+                                       bisect_steps, warm)
+            if np.any(needed > tech.width_max):
+                feasible = False
+                if repair_ceiling is not None:
+                    # Restart as a scalar-order replay with repair enabled.
+                    return _size_with_repair(arrays, budgets, vdd, vth,
+                                             drive, slope_k, k_vdd, method,
+                                             bisect_steps, repair_ceiling,
+                                             warm)
+                needed = np.minimum(needed, tech.width_max)
+            w[start:stop] = np.maximum(needed, tech.width_min)
     return FastSizing(widths=w, feasible=feasible)
 
 
@@ -269,8 +298,8 @@ def _bisect_level(arrays: ArrayContext, budgets: np.ndarray,
     caller's clamp/repair logic is shared with the closed-form solver.
     """
     tech = arrays.ctx.tech
-    k_lvl = _sl(k_vdd, start, stop)
-    drive_lvl = _sl(drive, start, stop)
+    k_lvl = _cols(k_vdd, start, stop)
+    drive_lvl = drive[start:stop]
     self_lvl = arrays.self_cap[start:stop]
     fixed = slope[start:stop] + rc + flight
     budget = budgets[start:stop]
@@ -452,6 +481,8 @@ def _size_with_repair(arrays: ArrayContext, budgets: np.ndarray,
 
     Aborts at the first gate that stays unsizable after repair — the
     corner is then definitively infeasible and widths are unobservable.
+    Before the walk, :func:`_delay_floor` may certify the corner
+    hopeless: then nothing is repaired and the verdict is infeasible.
 
     ``verify=False`` skips the full-STA check of a repaired design and
     reports it feasible *pending verification* — the batched path
@@ -460,6 +491,9 @@ def _size_with_repair(arrays: ArrayContext, budgets: np.ndarray,
     """
     tech = arrays.ctx.tech
     n = arrays.n_gates
+    if (_delay_floor(arrays, drive, slope_k, k_vdd)
+            > repair_ceiling * _CERTIFY_FACTOR):
+        return FastSizing(widths=np.ones(n), feasible=False)
     view = arrays.python_view()
     working = budgets.tolist()
     w = [1.0] * n
@@ -507,6 +541,23 @@ def _size_with_repair(arrays: ArrayContext, budgets: np.ndarray,
                       repaired=_names(arrays, repaired))
 
 
+def _delay_floor(arrays: ArrayContext, drive, slope_k, k_vdd) -> float:
+    """A lower bound on the critical delay of every sizing at a corner.
+
+    The STA of :func:`fast_sta` with each gate's own width at ``w_max``
+    and every gate sink at ``w_min`` (boundary sinks, flight and the
+    slope term as in STA). A gate's delay falls with its own width and
+    rises with its sinks' widths, so no assignment in ``[w_min, w_max]``
+    is faster; ``drive`` must be positive everywhere.
+    """
+    plan = arrays.sweep_plan()
+    w_max = arrays.ctx.tech.width_max
+    switching = k_vdd * plan.floor_load / (drive * w_max)
+    fixed = switching + plan.floor_rc + plan.full.flight
+    _, arrivals = _propagate(arrays, slope_k, fixed)
+    return _critical(arrays, arrivals)
+
+
 def _names(arrays: ArrayContext, indices: List[int]) -> Tuple[str, ...]:
     return tuple(arrays.gate_names[i] for i in indices)
 
@@ -540,41 +591,16 @@ def fast_sta(arrays: ArrayContext, vdd: Voltage, vth: Voltage,
         slope_k = _slope_coefficients(arrays, vdd, vth)
         k_vdd = tech.velocity_saturation_coeff * vdd
 
-        ext, rc, flight = _external_caps(arrays, w, 0, n)
+        plan = arrays.sweep_plan()
+        ext, rc, flight = plan.full.parasitics(plan.pad(w))
         load = w * arrays.self_cap + ext
         with np.errstate(divide="ignore", invalid="ignore"):
             switching = np.where(drive > 0.0, k_vdd * load / (drive * w),
                                  np.inf)
         fixed = switching + rc + flight
-
-        delays = np.zeros(n)
-        arrivals = np.zeros(n)
-        for start, stop in reversed(arrays.level_slices):
-            lo = arrays.fanin.ptr[start]
-            hi = arrays.fanin.ptr[stop]
-            idx = arrays.fanin.indices[lo:hi]
-            view = _CSR(arrays.fanin.ptr[start:stop + 1] - lo, idx)
-            max_fanin_delay = _segment(view, delays[idx], np.maximum, 0.0)
-            max_fanin_arrival = _segment(view, arrivals[idx], np.maximum, 0.0)
-            delays[start:stop] = (_sl(slope_k, start, stop) * max_fanin_delay
-                                  + fixed[start:stop])
-            arrivals[start:stop] = max_fanin_arrival + delays[start:stop]
+        delays, arrivals = _propagate(arrays, slope_k, fixed)
         current_metrics().incr(DELAY_MODEL_CALLS, n)
-
-    network = arrays.ctx.network
-    critical = 0.0
-    for name in network.outputs:
-        position = arrays.index.get(name)
-        if position is None:
-            if not network.gate(name).is_input:
-                raise TimingError(
-                    f"output {name!r} is neither a logic gate nor a "
-                    f"primary input")
-            arrival = 0.0  # ideal primary input feeding an output port
-        else:
-            arrival = float(arrivals[position])
-        critical = max(critical, arrival)
-    return critical, delays
+    return _critical(arrays, arrivals), delays
 
 
 def fast_total_energy(arrays: ArrayContext, vdd: Voltage, vth: Voltage,
@@ -602,7 +628,8 @@ def fast_total_energy(arrays: ArrayContext, vdd: Voltage, vth: Voltage,
         _, off = _currents(arrays, vdd, vth)
         static = float(np.sum(vdd * w * off / frequency))
 
-        ext, _, _ = _external_caps(arrays, w, 0, arrays.n_gates)
+        plan = arrays.sweep_plan()
+        ext, _, _ = plan.full.parasitics(plan.pad(w))
         load = w * arrays.self_cap + ext
         dynamic = float(np.sum(0.5 * arrays.activity * vdd * vdd * load))
 

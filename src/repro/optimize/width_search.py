@@ -29,6 +29,12 @@ re-verified with a full STA pass against ``repair_ceiling`` (the
 effective cycle time, which callers must supply to enable repair); a
 failing check reports the assignment infeasible, exactly as without
 repair.
+
+**Infeasibility certificate.** Before the first repair, the critical
+delay of the fastest design the sizing could return is bounded from
+below (:func:`_delay_floor`). When even that floor misses the ceiling,
+no repair can pass the verification, so the pass stops there: the
+assignment is infeasible and nothing is repaired.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from repro.obs.instrument import (
 from repro.obs.metrics import current_metrics
 from repro.timing.delay_model import (
     effective_drive_per_width,
+    gate_delay,
     slope_coefficient,
     vdd_for,
 )
@@ -56,6 +63,12 @@ from repro.timing.sta import analyze_timing
 
 #: Smallest budget (s) a driver may be squeezed to during repair.
 _MIN_BUDGET = 1e-15
+
+#: :func:`_delay_floor` above ``repair_ceiling * _CERTIFY_FACTOR``
+#: certifies a corner infeasible: the repair verification's threshold
+#: factor ``1 + 1e-9`` widened by a relative margin of 1e-6, which covers
+#: the floor's rounding against any design's STA (a few ulps per gate).
+_CERTIFY_FACTOR = (1.0 + 1e-9) * (1.0 + 1e-6)
 
 
 @dataclass(frozen=True)
@@ -115,6 +128,7 @@ def _size_widths(ctx: CircuitContext, budgets: Mapping[str, float],
     infeasible: List[str] = []
     repaired: List[str] = []
     evaluations = 0
+    floor_checked = False
 
     for name in ctx.gates_reversed:
         info = ctx.info(name)
@@ -150,7 +164,15 @@ def _size_widths(ctx: CircuitContext, budgets: Mapping[str, float],
         evaluations += used
 
         if width is None and repair_ceiling is not None:
-            width = _attempt_repair(ctx, name, vdd, gate_vth, drive, working,
+            if not floor_checked:
+                floor_checked = True
+                if (_delay_floor(ctx, vdd, vth)
+                        > repair_ceiling * _CERTIFY_FACTOR):
+                    infeasible.append(name)
+                    for unsized in ctx.gates_reversed:
+                        widths.setdefault(unsized, tech.width_max)
+                    break
+            width = _attempt_repair(ctx, name, vdd, vth, drive, working,
                                     widths, wire_rc, flight, external_cap)
             if width is not None:
                 repaired.append(name)
@@ -297,6 +319,35 @@ def _gate_floor(ctx: CircuitContext, name: str,
     wire_rc, flight, _ = _fixed_and_external(ctx, name, widths)
     k_vdd = ctx.tech.velocity_saturation_coeff * gate_vdd
     return k_vdd * ctx.info(name).self_cap / drive + wire_rc + flight
+
+
+def _delay_floor(ctx: CircuitContext, vdd: float | Mapping[str, float],
+                 vth: float | Mapping[str, float]) -> float:
+    """A lower bound on the critical delay of every sizing at a corner.
+
+    STA in which each gate's own width is ``w_max`` and every gate sink
+    is at ``w_min``: a gate's delay falls with its own width and rises
+    with its sinks' widths, so no width assignment in ``[w_min, w_max]``
+    has a smaller critical delay.
+    """
+    tech = ctx.tech
+    network = ctx.network
+    delays: Dict[str, float] = {}
+    arrivals: Dict[str, float] = {}
+    for name in network.topological_order():
+        gate = network.gate(name)
+        if gate.is_input:
+            delays[name] = arrivals[name] = 0.0
+            continue
+        widths = {sink: tech.width_min
+                  for sink in ctx.info(name).fanout_names if sink}
+        widths[name] = tech.width_max
+        delays[name] = gate_delay(ctx, name, vdd, _vth_for(vth, name),
+                                  widths, max(delays[fanin]
+                                              for fanin in gate.fanins))
+        arrivals[name] = max(arrivals[fanin]
+                             for fanin in gate.fanins) + delays[name]
+    return max(arrivals[output] for output in network.outputs)
 
 
 def _attempt_repair(ctx: CircuitContext, name: str,

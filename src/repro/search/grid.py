@@ -69,13 +69,14 @@ def grid_lower_bounds(problem: "OptimizationProblem",
     import numpy as np
 
     from repro.engine.array import array_context_for
-    from repro.fastpath.evaluate import _currents, _external_caps
+    from repro.fastpath.evaluate import _currents
 
     arrays = array_context_for(problem.ctx)
     tech = problem.tech
     n = arrays.n_gates
     wmin = np.full(n, tech.width_min)
-    ext, _, _ = _external_caps(arrays, wmin, 0, n)
+    plan = arrays.sweep_plan()
+    ext, _, _ = plan.full.parasitics(plan.pad(wmin))
     load = wmin * arrays.self_cap + ext
     activity_load = float(np.sum(arrays.activity * load))
     sink_caps = arrays.segment_sum(

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.errors import JobStateError, OptimizationError
+from repro.errors import JobStateError, OptimizationError, ReproError
 
 LOGGER = logging.getLogger("repro.serve")
 
@@ -142,7 +142,8 @@ class JobRequest:
         # infinities) here so the spool answers "invalid" instead of a
         # worker failing deep inside the solve.
         finite = {"frequency_mhz": self.frequency_mhz,
-                  "activity": self.activity}
+                  "activity": self.activity,
+                  "probability": self.probability}
         if self.deadline_s is not None:
             finite["deadline_s"] = self.deadline_s
         for name, value in finite.items():
@@ -160,6 +161,16 @@ class JobRequest:
         if self.search_budget is not None and self.search_budget < 1:
             raise OptimizationError(
                 f"search_budget must be >= 1, got {self.search_budget}")
+        # The solver's own checks, run now rather than in the worker:
+        # the input profile's (probability in [0, 1], density within
+        # its Markov limit) and the search settings' grid sizes.
+        from repro.activity.profiles import InputProfile
+        from repro.optimize.heuristic import HeuristicSettings
+
+        InputProfile(probabilities={"inputs": self.probability},
+                     densities={"inputs": self.activity})
+        HeuristicSettings(m_steps=self.m_steps, grid_vdd=self.grid_vdd,
+                          grid_vth=self.grid_vth)
         if self.robust is not None:
             if self.n_vth > 1:
                 raise OptimizationError(
@@ -369,9 +380,10 @@ def transition(job: Job, state: str,
 def replay(records: Iterable[Mapping[str, object]]) -> Dict[str, Job]:
     """Rebuild the job table from journal records, oldest first.
 
-    Damage-tolerant by design: duplicate job ids, transitions for
-    unknown jobs, and transitions the state machine rejects are logged
-    and *skipped*, never fatal — a recovering daemon must come up with
+    Damage-tolerant by design: duplicate job ids, requests that no
+    longer pass admission, transitions for unknown jobs, and
+    transitions the state machine rejects are logged and *skipped*,
+    never fatal — a recovering daemon must come up with
     every salvageable job rather than refuse to start. Returns jobs in
     submission order (dict insertion order).
     """
@@ -389,7 +401,7 @@ def replay(records: Iterable[Mapping[str, object]]) -> Dict[str, Job]:
                 continue
             try:
                 request = JobRequest.from_dict(record["request"])
-            except (KeyError, TypeError, OptimizationError) as exc:
+            except (KeyError, TypeError, ReproError) as exc:
                 LOGGER.warning("journal: unparseable request for %s "
                                "skipped (%s)", job_id, exc)
                 continue

@@ -219,3 +219,63 @@ def test_unknown_output_raises_timing_error(s27_problem):
     w = np.ones(arrays.n_gates) * 4.0
     with pytest.raises(TimingError, match="neither a logic gate nor"):
         fast_sta(arrays, 2.5, 0.3, w)
+
+
+def test_rows_without_fanout_entries_size_and_time_like_scalar():
+    """Rows with no fanout entries: a level mixing an empty row with a
+    loaded one, and a level whose only row is empty, through sizing,
+    STA and energy (batched rows included)."""
+    import dataclasses
+
+    from repro.fastpath.batch import BatchValue
+    from repro.netlist.gates import GateType
+    from repro.netlist.network import NetworkBuilder
+
+    builder = NetworkBuilder("dangling")
+    builder.add_input("a")
+    builder.add_input("b")
+    builder.add_gate("g1", GateType.NAND, ["a", "b"])
+    builder.add_gate("g2", GateType.NOR, ["a", "b"])
+    builder.add_gate("y", GateType.NAND, ["g1", "g2"])
+    builder.add_gate("d", GateType.NOR, ["g1", "g2"])
+    builder.add_gate("z", GateType.NOT, ["d"])
+    problem = _custom_problem(builder.build(outputs=["y"]))
+    budgets = problem.budgets()
+    ctx = problem.ctx
+    # A sink-less gate normally drives one boundary branch; strip it so
+    # the rows of y (level 2, beside d) and z (level 3, alone) are empty.
+    for name in ("y", "z"):
+        ctx._info[name] = dataclasses.replace(
+            ctx.info(name), fanout_names=(), fanout_input_caps=(),
+            branch_caps=(), branch_resistances=(), branch_flights=())
+    arrays = ArrayContext(ctx)
+    plan = arrays.sweep_plan()
+    empty = [level for level in plan.levels
+             if level.segments.nonempty is not None]
+    assert sorted(level.stop - level.start for level in empty) == [1, 2]
+    assert any(not level.segments.starts.size for level in empty)
+
+    budget_vec = arrays.budgets_to_array(budgets.budgets)
+    ceiling = budgets.effective_cycle_time
+    reference = size_widths(ctx, budgets.budgets, 2.5, 0.3,
+                            repair_ceiling=ceiling)
+    fast = fast_size_widths(arrays, budget_vec, 2.5, 0.3,
+                            repair_ceiling=ceiling)
+    assert fast.feasible and reference.feasible
+    widths = fast.widths_map(arrays)
+    for name, width in reference.widths.items():
+        assert widths[name] == pytest.approx(width, rel=1e-12)
+    rows = BatchValue(np.asarray([[2.5], [2.5]]), per_gate=False)
+    batched = fast_size_widths(arrays, budget_vec, rows, 0.3,
+                               repair_ceiling=ceiling)
+    assert np.array_equal(batched.widths[1], fast.widths)
+
+    critical, _ = fast_sta(arrays, 2.5, 0.3, fast.widths)
+    timing = analyze_timing(ctx, 2.5, 0.3, reference.widths)
+    assert critical == pytest.approx(timing.critical_delay, rel=1e-12)
+    static, dynamic = fast_total_energy(arrays, 2.5, 0.3, fast.widths,
+                                        problem.frequency)
+    energy = total_energy(ctx, 2.5, 0.3, reference.widths,
+                          problem.frequency)
+    assert static == pytest.approx(energy.static, rel=1e-12)
+    assert dynamic == pytest.approx(energy.dynamic, rel=1e-12)

@@ -173,6 +173,22 @@ class TestReplay:
             jobs = replay([bad])
         assert jobs == {}
 
+    def test_request_failing_admission_skipped(self, caplog):
+        # A request journaled before admission checked the probability
+        # range is skipped on replay; the jobs around it survive.
+        bad = job_record("job-2", seq=2)
+        bad["request"] = dict(bad["request"], probability=1.5)
+        with caplog.at_level("WARNING", logger="repro.serve"):
+            jobs = replay([
+                job_record("job-1", seq=1),
+                bad,
+                state_record("job-2", RUNNING),
+                job_record("job-3", seq=3),
+            ])
+        assert list(jobs) == ["job-1", "job-3"]
+        assert any("unparseable request for job-2" in message
+                   for message in caplog.messages)
+
     def test_unknown_record_type_skipped(self, caplog):
         with caplog.at_level("WARNING", logger="repro.serve"):
             jobs = replay([{"type": "mystery"}])

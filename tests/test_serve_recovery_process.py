@@ -25,8 +25,11 @@ from repro.serve.client import (read_job_status, submit_request,
 from repro.serve.jobs import TERMINAL_STATES, JobRequest
 from repro.serve.service import OptimizationService
 
-#: s298 on a 25x20 grid runs for seconds — a SIGKILL lands mid-solve.
-SLOW = dict(circuit="s298", frequency_mhz=100.0, grid_vdd=25, grid_vth=20)
+#: s298 on a 50x30 grid runs for seconds — a SIGKILL lands mid-solve.
+#: The grid is sized for the fastest engine (batch, about 1.2 s on a
+#: 2-vCPU x86 host), so the seeded 0.1-0.6 s kill delay still falls
+#: before the solve ends under every ``REPRO_ENGINE``.
+SLOW = dict(circuit="s298", frequency_mhz=100.0, grid_vdd=50, grid_vth=30)
 
 
 def daemon_env():

@@ -12,7 +12,8 @@ import math
 
 import pytest
 
-from repro.errors import OptimizationError, ServiceOverloaded
+from repro.errors import (ActivityError, OptimizationError,
+                          ServiceOverloaded)
 from repro.obs.instrument import (SERVE_CACHE_HITS, SERVE_CACHE_MISSES,
                                   SERVE_CHECKPOINT_DISCARDED,
                                   SERVE_JOBS_RECOVERED,
@@ -20,7 +21,7 @@ from repro.obs.instrument import (SERVE_CACHE_HITS, SERVE_CACHE_MISSES,
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.checkpoint import SearchCheckpoint
 from repro.runtime.pool import multiprocessing_available
-from repro.serve.client import new_ticket, submit_request
+from repro.serve.client import list_jobs, new_ticket, submit_request
 from repro.serve.jobs import (CANCELLED, DEGRADED, DONE, FAILED, QUEUED,
                               JobRequest, search_fingerprint_for)
 from repro.serve.service import OptimizationService
@@ -210,6 +211,49 @@ class TestNonFiniteAdmission:
         assert service.jobs == {}
 
 
+class TestRangeAdmission:
+    """Values the solver would refuse are refused at admission."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_probability_rejected(self, value):
+        with pytest.raises(OptimizationError, match="probability"):
+            JobRequest(circuit="s27", probability=value)
+
+    @pytest.mark.parametrize("value", [1.5, -0.2])
+    def test_probability_outside_unit_interval_rejected(self, value):
+        with pytest.raises(ActivityError, match="probability"):
+            JobRequest(circuit="s27", probability=value)
+
+    def test_activity_beyond_the_probability_limit_rejected(self):
+        # p = 0.02 allows a transition density of at most 0.04.
+        with pytest.raises(ActivityError, match="Markov limit"):
+            JobRequest(circuit="s27", probability=0.02, activity=0.1)
+
+    def test_grid_vdd_below_two_rejected(self):
+        with pytest.raises(OptimizationError, match="2x2"):
+            JobRequest(circuit="s27", grid_vdd=1)
+
+    def test_grid_vth_below_two_rejected(self):
+        with pytest.raises(OptimizationError, match="2x2"):
+            JobRequest(circuit="s27", grid_vth=1)
+
+    def test_m_steps_below_two_rejected(self):
+        with pytest.raises(OptimizationError, match="m_steps"):
+            JobRequest(circuit="s27", m_steps=1)
+
+    def test_spool_answers_invalid_and_journals_nothing(self, tmp_path):
+        service = make_service(tmp_path)
+        ticket = new_ticket()
+        (tmp_path / "spool" / f"{ticket}.json").write_text(
+            json.dumps(dict(FAST, probability=1.5)))
+        service.poll_spool()
+        reply = json.loads(
+            (tmp_path / "replies" / f"{ticket}.json").read_text())
+        assert reply["status"] == "invalid"
+        assert reply["error"] == "ActivityError"
+        assert service.jobs == {}
+
+
 class TestCancellation:
     def test_cancel_a_queued_job(self, tmp_path):
         service = make_service(tmp_path)
@@ -361,6 +405,31 @@ class TestRecovery:
         new_job = second.submit(JobRequest(**dict(FAST, grid_vdd=5)))
         second.step()
         assert new_job.state == DONE
+
+    def test_journaled_request_failing_admission_skipped(self, tmp_path):
+        # A journal written before admission checked the probability
+        # range may hold a request that now fails it: recovery skips
+        # that job and still runs the others.
+        first = make_service(tmp_path)
+        doomed = first.submit(JobRequest(**FAST))
+        kept = first.submit(JobRequest(**dict(FAST, grid_vdd=5)))
+        first.close()
+        path = tmp_path / "journal.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        for record in records:
+            if record.get("job_id") == doomed.job_id \
+                    and record.get("type") == "job":
+                record["request"]["probability"] = 1.5
+        path.write_text("".join(json.dumps(record) + "\n"
+                                for record in records))
+
+        second = make_service(tmp_path)
+        assert list(second.jobs) == [kept.job_id]
+        assert second.registry.counters()[SERVE_JOBS_RECOVERED] == 1
+        assert [row["job_id"] for row in list_jobs(tmp_path)] \
+            == [kept.job_id]
+        second.step()
+        assert second.jobs[kept.job_id].state == DONE
 
     def test_terminal_jobs_are_not_re_enqueued(self, tmp_path):
         first = make_service(tmp_path)

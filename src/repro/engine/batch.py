@@ -2,9 +2,10 @@
 
 :class:`BatchEngine` is an :class:`~repro.engine.array.ArrayEngine` —
 every single-design call behaves identically — that additionally serves
-:meth:`measure_batch` / :meth:`evaluate_batch` with **one** vectorized
-kernel invocation over B design rows (``repro.fastpath.batch``), each
-row bit-identical (``==``) to the looped single-design call.
+:meth:`measure_batch` / :meth:`evaluate_batch` with **one** call of the
+shared fastpath kernels over B design rows (:mod:`repro.fastpath
+.evaluate` at rank ``(B, n)``), each row bit-identical (``==``) to the
+looped single-design call.
 
 Because batching is provably a pure execution detail, the engine
 fingerprints as ``"fast"`` (see
@@ -13,9 +14,10 @@ cache keys and argmins are interchangeable with the array engine, which
 ``ci/check_batch_parity.py`` gates.
 
 Batches must be *uniform*: all rows scalar voltages, or all rows
-per-gate (mappings / canonical vectors). Mixed batches, and batches
-under warm-started sizing, quietly take the base class's row-at-a-time
-fallback loop — correctness never depends on batchability.
+per-gate (mappings / canonical vectors). Mixed batches quietly take the
+base class's row-at-a-time fallback loop, and warm-started searches
+never batch (a warm start chains one row's sizing into the next) —
+correctness never depends on batchability.
 """
 
 from __future__ import annotations
@@ -31,13 +33,13 @@ from repro.engine.base import (
     EngineSizing,
     _INFEASIBLE,
 )
-from repro.fastpath.batch import (
-    BatchValue,
-    batch_currents,
-    batch_sta,
-    batch_total_energy,
+from repro.fastpath.batch import BatchValue
+from repro.fastpath.evaluate import (
+    _currents,
+    fast_size_widths,
+    fast_sta,
+    fast_total_energy,
 )
-from repro.fastpath.evaluate import fast_size_widths
 from repro.obs.instrument import BATCH_CALLS, BATCH_ROWS
 from repro.obs.metrics import current_metrics
 from repro.timing.budgeting import BudgetResult
@@ -105,12 +107,12 @@ class BatchEngine(ArrayEngine):
         # Both kernels bill currents for the same (vdd, vth) pairs, so
         # compute them once and share — same doubles, half the
         # device-model work.
-        currents = batch_currents(self.arrays, vdd, vth)
-        static, dynamic = batch_total_energy(
-            self.arrays, vdd, vth, widths, self.problem.frequency, batch,
+        currents = _currents(self.arrays, vdd.values, vth.values)
+        static, dynamic = fast_total_energy(
+            self.arrays, vdd, vth, widths, self.problem.frequency,
             currents=currents)
-        critical, _ = batch_sta(self.arrays, vdd, vth, widths, batch,
-                                currents=currents)
+        critical, _ = fast_sta(self.arrays, vdd, vth, widths,
+                               currents=currents)
         return [EngineMeasurement(static=float(static[b]),
                                   dynamic=float(dynamic[b]),
                                   critical_delay=float(critical[b]))
@@ -146,10 +148,10 @@ class BatchEngine(ArrayEngine):
         results: List[EngineEvaluation] = [_INFEASIBLE] * batch
         if len(feasible_rows):
             w_sub = np.ascontiguousarray(sizing.widths[feasible_rows])
-            static, dynamic = batch_total_energy(
+            static, dynamic = fast_total_energy(
                 self.arrays, vdd.take(feasible_rows),
                 energy_vth.take(feasible_rows), w_sub,
-                self.problem.frequency, len(feasible_rows))
+                self.problem.frequency)
             gates = self.problem.ctx.gates
             for k, b in enumerate(feasible_rows):
                 canonical = sizing.widths[b][self._canonical]

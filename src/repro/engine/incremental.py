@@ -17,8 +17,9 @@ annealer's hot loop):
   parasitics, which a voltage move cannot change).
 
 **Recompute, don't accumulate.** Every affected value is recomputed
-from scratch through the *same* NumPy expressions (and, for per-row
-parasitics, the same ``reduceat`` segment reductions) as the fastpath
+from scratch through the *same* fastpath helpers (per-gate delay and
+energy terms, the critical-delay and input-net reductions) and, for
+per-row parasitics, the same ``reduceat`` segment reductions as the
 kernels — never adjusted by a delta — so the maintained state is a pure
 function of ``(widths, Vdd, Vth)`` and every measurement is
 bit-identical to a fresh :func:`~repro.fastpath.evaluate.fast_sta` /
@@ -44,9 +45,19 @@ import numpy as np
 
 from repro.engine.array import ArrayEngine
 from repro.engine.base import Engine, EngineMeasurement, EngineSizing
-from repro.errors import OptimizationError, TimingError
+from repro.errors import OptimizationError
 from repro.fastpath.arrays import Segments
-from repro.fastpath.evaluate import _currents, _propagate, _slope_coefficients
+from repro.fastpath.evaluate import (
+    _critical,
+    _currents,
+    _drive_per_width,
+    _energy_terms,
+    _energy_totals,
+    _fixed_delays,
+    _loads,
+    _propagate,
+    _slope_coefficients,
+)
 from repro.obs import trace
 from repro.obs.instrument import (
     INCREMENTAL_CONE_GATES,
@@ -160,22 +171,6 @@ class IncrementalEngine(Engine):
              if sink >= 0]
             for i in range(n)]
 
-        # Output rows for the critical-delay reduction, validated the
-        # same way fast_sta validates them (primary-input outputs arrive
-        # at 0.0 and cannot raise the max, which starts at 0.0).
-        network = arrays.ctx.network
-        out_rows = []
-        for name in network.outputs:
-            position = arrays.index.get(name)
-            if position is None:
-                if not network.gate(name).is_input:
-                    raise TimingError(
-                        f"output {name!r} is neither a logic gate nor a "
-                        f"primary input")
-                continue
-            out_rows.append(position)
-        self._out_rows = np.asarray(sorted(set(out_rows)), dtype=np.int64)
-
         self._plans: List[Optional[_MovePlan]] = [None] * n
         self._w: Optional[np.ndarray] = None
 
@@ -242,35 +237,23 @@ class IncrementalEngine(Engine):
 
         # Local terms: external cap / wire RC / load / switching / fixed
         # of the moved gate and its fanin drivers, recomputed from
-        # scratch through the kernel expressions.
+        # scratch through the kernel helpers.
         ext, rc, flight = plan.parasitics(w, self._boundary_width)
         load = w[rows] * plan.self_cap + ext
-        drive = self._drive[rows]
-        k_vdd = _rows_of(self._k_vdd, rows)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            switching = np.where(drive > 0.0,
-                                 k_vdd * load / (drive * w[rows]), np.inf)
-        self._ext[rows] = ext
         self._rc[rows] = rc
         self._load[rows] = load
-        self._fixed[rows] = switching + rc + flight
+        self._fixed[rows] = _fixed_delays(_rows_of(self._k_vdd, rows),
+                                          self._drive[rows], w[rows], load,
+                                          rc, flight)
 
         # Energy terms referencing the moved width: the gate's own
         # leakage scales with w; the local rows' switched loads changed.
-        sl = slice(row, row + 1)
-        self._static_terms[sl] = (_rows_of(self._vdd, sl) * w[sl]
-                                  * _rows_of(self._off, sl)
-                                  / self._frequency)
-        vdd_rows = _rows_of(self._vdd, rows)
-        self._dynamic_terms[rows] = (0.5 * plan.activity * vdd_rows
-                                     * vdd_rows * load)
+        self._static_terms[rows], self._dynamic_terms[rows] = _energy_terms(
+            plan.activity, _rows_of(self._vdd, rows), w[rows],
+            _rows_of(self._off, rows), load, self._frequency)
 
         cone = self._propagate(rows)
-
-        self._static = float(np.sum(self._static_terms))
-        self._dynamic = (float(np.sum(self._dynamic_terms))
-                         + self._input_dynamic())
-        self._critical = self._critical_delay()
+        self._totals()
 
         self.moves += 1
         self.cone_gates += cone
@@ -298,8 +281,8 @@ class IncrementalEngine(Engine):
     def snapshot(self) -> Tuple:
         """An O(N) copy of the mutable state, for :meth:`restore`."""
         self._require_state()
-        return (self._vdd, self._vth, self._w.copy(), self._ext.copy(),
-                self._rc.copy(), self._flight_vec.copy(), self._load.copy(),
+        return (self._vdd, self._vth, self._w.copy(), self._rc.copy(),
+                self._flight_vec.copy(), self._load.copy(),
                 self._fixed.copy(), self._delays.copy(),
                 self._arrivals.copy(), self._static_terms.copy(),
                 self._dynamic_terms.copy(), self._drive, self._off,
@@ -308,11 +291,11 @@ class IncrementalEngine(Engine):
 
     def restore(self, token: Tuple) -> EngineMeasurement:
         """Reinstall a :meth:`snapshot` (the annealer's voltage revert)."""
-        (self._vdd, self._vth, self._w, self._ext, self._rc,
-         self._flight_vec, self._load, self._fixed, self._delays,
-         self._arrivals, self._static_terms, self._dynamic_terms,
-         self._drive, self._off, self._slope_k, self._k_vdd, self._static,
-         self._dynamic, self._critical) = token
+        (self._vdd, self._vth, self._w, self._rc, self._flight_vec,
+         self._load, self._fixed, self._delays, self._arrivals,
+         self._static_terms, self._dynamic_terms, self._drive, self._off,
+         self._slope_k, self._k_vdd, self._static, self._dynamic,
+         self._critical) = token
         return self.measurement()
 
     # -- internals -----------------------------------------------------------
@@ -326,42 +309,28 @@ class IncrementalEngine(Engine):
     def _refresh(self, recompute_parasitics: bool) -> None:
         """Full re-evaluation at the current (w, Vdd, Vth).
 
-        Expression-for-expression the same computation as ``fast_sta`` +
-        ``fast_total_energy`` (the same sweep plan and propagation), so
-        the refreshed state is bit-identical to the inner engine's.
+        The same kernel helpers as ``fast_sta`` + ``fast_total_energy``
+        (the same sweep plan and propagation), so the refreshed state is
+        bit-identical to the inner engine's.
         """
         arrays = self.arrays
-        tech = arrays.ctx.tech
         vdd, vth, w = self._vdd, self._vth, self._w
 
-        current, off = _currents(arrays, vdd, vth)
-        stack = 1.0 + tech.stack_derating * (arrays.fanin_count - 1)
-        self._drive = current / stack - arrays.fanin_count * off
-        self._off = off
+        currents = _currents(arrays, vdd, vth)
+        self._drive = _drive_per_width(arrays, vdd, vth, currents)
+        self._off = currents[1]
         self._slope_k = _slope_coefficients(arrays, vdd, vth)
-        self._k_vdd = tech.velocity_saturation_coeff * vdd
+        self._k_vdd = arrays.ctx.tech.velocity_saturation_coeff * vdd
 
         if recompute_parasitics:
-            plan = arrays.sweep_plan()
-            ext, rc, flight = plan.full.parasitics(plan.pad(w))
-            self._ext, self._rc, self._flight_vec = ext, rc, flight
-            self._load = w * arrays.self_cap + ext
-
-        with np.errstate(divide="ignore", invalid="ignore"):
-            switching = np.where(self._drive > 0.0,
-                                 self._k_vdd * self._load
-                                 / (self._drive * w), np.inf)
-        self._fixed = switching + self._rc + self._flight_vec
-
+            self._load, self._rc, self._flight_vec = _loads(arrays, w)
+        self._fixed = _fixed_delays(self._k_vdd, self._drive, w,
+                                    self._load, self._rc, self._flight_vec)
         self._delays, self._arrivals = _propagate(arrays, self._slope_k,
                                                   self._fixed)
-
-        self._static_terms = vdd * w * off / self._frequency
-        self._dynamic_terms = 0.5 * arrays.activity * vdd * vdd * self._load
-        self._static = float(np.sum(self._static_terms))
-        self._dynamic = (float(np.sum(self._dynamic_terms))
-                         + self._input_dynamic())
-        self._critical = self._critical_delay()
+        self._static_terms, self._dynamic_terms = _energy_terms(
+            arrays.activity, vdd, w, self._off, self._load, self._frequency)
+        self._totals()
 
         self.full_refreshes += 1
         current_metrics().incr(INCREMENTAL_FULL_REFRESHES)
@@ -408,29 +377,17 @@ class IncrementalEngine(Engine):
                     pending.setdefault(group[sink], set()).add(sink)
         return cone
 
-    def _input_dynamic(self) -> float:
-        """The module-port dynamic term (mirrors ``fast_total_energy``).
+    def _totals(self) -> None:
+        """The measurement of the current state, reduced as ``fast_sta``
+        and ``fast_total_energy`` reduce it.
 
-        Width moves on gates fed by primary inputs change the input-net
-        loads, and the term is a handful of vectorized reductions over
-        the input count — recomputing it whole is cheaper than tracking
-        which inputs a move touches, and trivially exact.
+        The input-net term is recomputed whole: width moves on gates fed
+        by primary inputs change the input-net loads, and the term is a
+        handful of vectorized reductions over the input count — cheaper
+        than tracking which inputs a move touches, and trivially exact.
         """
-        arrays = self.arrays
-        vdd = self._vdd
-        io_rail = float(np.max(vdd)) if isinstance(vdd, np.ndarray) else vdd
-        sink_caps = arrays.segment_sum(
-            arrays.input_fanout,
-            self._w[arrays.input_fanout.indices] * arrays.input_fanout_cap)
-        input_load = (arrays.input_self_plus_wire + arrays.input_fixed_cap
-                      + sink_caps)
-        return float(np.sum(0.5 * arrays.input_activity
-                            * io_rail * io_rail * input_load))
-
-    def _critical_delay(self) -> float:
-        critical = 0.0
-        if self._out_rows.size:
-            worst = float(np.max(self._arrivals[self._out_rows]))
-            if worst > critical:
-                critical = worst
-        return critical
+        static, dynamic = _energy_totals(self.arrays, self._vdd, self._w,
+                                         self._static_terms,
+                                         self._dynamic_terms)
+        self._static, self._dynamic = float(static), float(dynamic)
+        self._critical = float(_critical(self.arrays, self._arrivals))

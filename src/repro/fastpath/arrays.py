@@ -21,6 +21,7 @@ from typing import Dict, List, Mapping, Tuple
 import numpy as np
 
 from repro.context import CircuitContext
+from repro.errors import TimingError
 
 
 @dataclass(frozen=True)
@@ -192,6 +193,30 @@ class ArrayContext:
             self._sweep_plan = plan
         return plan
 
+    def output_rows(self) -> np.ndarray:
+        """The rows of the primary outputs that are logic gates.
+
+        Validated once, on first use, and cached: an output that is a
+        primary input is left out (it arrives at 0.0, which never wins
+        the critical-delay maximum); an output that is neither a gate
+        nor a primary input raises :class:`~repro.errors.TimingError`.
+        """
+        rows = getattr(self, "_output_rows", None)
+        if rows is None:
+            network = self.ctx.network
+            found = []
+            for name in network.outputs:
+                position = self.index.get(name)
+                if position is not None:
+                    found.append(position)
+                elif not network.gate(name).is_input:
+                    raise TimingError(
+                        f"output {name!r} is neither a logic gate nor a "
+                        f"primary input")
+            rows = np.asarray(found, dtype=np.int64)
+            self._output_rows = rows
+        return rows
+
     def widths_to_array(self, widths: Dict[str, float]) -> np.ndarray:
         """A ``{name: w}`` map in processing order."""
         return np.asarray([widths[name] for name in self.gate_names])
@@ -215,14 +240,6 @@ class ArrayContext:
             return np.asarray([value[name] for name in self.gate_names],
                               dtype=float)
         return float(value)
-
-    def segment_sum(self, csr: _CSR, values: np.ndarray) -> np.ndarray:
-        """Per-row sums of ``values`` (aligned with csr.indices)."""
-        return Segments(csr.ptr).reduce(np.add, values)
-
-    def segment_max(self, csr: _CSR, values: np.ndarray) -> np.ndarray:
-        """Per-row maxima of ``values`` (0.0 for empty rows)."""
-        return Segments(csr.ptr).reduce(np.maximum, values)
 
 
 class PythonView:
@@ -345,7 +362,10 @@ class SweepPlan:
 
     See :meth:`ArrayContext.sweep_plan`. ``levels`` and ``fanin_levels``
     follow :attr:`ArrayContext.level_slices` (processing order); ``full``
-    covers every row at once (STA and energy). The ``floor_*`` arrays
+    covers every row at once (STA and energy). ``fanin`` reduces over
+    each gate's logic-gate fanins (the sizing slope term) and
+    ``input_nets`` over each primary input's gate receivers (the
+    input-net load). The ``floor_*`` arrays
     hold the width-dependent terms of the delay floor behind the
     repair's infeasibility certificate: every gate at ``w_max`` driving
     sinks at ``w_min``.
@@ -360,6 +380,8 @@ class SweepPlan:
         self.fanin_levels = tuple(FaninRows(arrays, start, stop)
                                   for start, stop in arrays.level_slices)
         self.full = FanoutRows(arrays, 0, n)
+        self.fanin = Segments(arrays.fanin.ptr)
+        self.input_nets = Segments(arrays.input_fanout.ptr)
         ext, rc, _ = self.full.parasitics(
             self.pad(np.full(n, tech.width_min)))
         #: ``w_max * self_cap + ext`` with every gate sink at ``w_min``.

@@ -1,34 +1,53 @@
 """Vectorized sizing, STA and energy over an :class:`ArrayContext`.
 
-``Vdd``/``Vth`` may be global scalars (the hot loop of Procedure 2) or
-per-gate values — a ``{name: value}`` mapping or a vector in array order
-— so multi-Vth and multi-Vdd searches run on the same kernels. Formulas
-mirror ``repro.optimize.width_search`` / ``repro.timing`` /
-``repro.power`` term by term; the equivalence tests assert agreement to
-float round-off on every benchmark circuit.
+**One kernel set, two ranks.** Each kernel is written once, slicing
+levels with ``[..., start:stop]`` and reducing over the last axis, so
+the same body runs a single design and a batch of ``B`` designs:
 
-Per-gate transistor currents come from the array device model
+* one design: widths ``(n,)``; ``Vdd``/``Vth`` global floats or
+  per-gate values (a ``{name: value}`` mapping or an ``(n,)`` vector in
+  array order); scalar results (``float``, ``bool``);
+* a batch: widths ``(B, n)`` (or ``(1, n)`` shared by every row) and
+  voltages as :class:`~repro.fastpath.batch.BatchValue` — a float,
+  per-row scalars ``(B, 1)``, per-gate rows ``(1, n)`` / ``(B, n)``;
+  ``(B,)`` results. A ``(B, n)`` width array or a batched voltage
+  selects this rank; :mod:`repro.fastpath.batch` normalizes the
+  arguments.
+
+A single design stays 1-D; it is never reshaped to ``(1, n)``, which
+costs time at these array sizes.
+
+**Bit identity.** Every row of a batched result is ``==`` to the
+single-design call on that row: elementwise IEEE arithmetic is
+broadcast-invariant, ``reduceat`` and ``np.sum`` along the last axis
+reduce each row exactly as they reduce the 1-D array, and transistor
+currents come from the array device model
 (:mod:`repro.technology.array_model`), which reproduces the scalar
 reference model (:mod:`repro.technology.mosfet` /
-:mod:`repro.technology.leakage`) bit for bit on every element.
+:mod:`repro.technology.leakage`) bit for bit on every element. Formulas
+mirror ``repro.optimize.width_search`` / ``repro.timing`` /
+``repro.power`` term by term; the scalar engine sums the same terms in
+other associations, so it agrees to float round-off.
 
 The level sweeps (sizing, STA, energy) read their width-independent
 per-level constants from the circuit's
 :class:`~repro.fastpath.arrays.SweepPlan`.
 
-Budget repair (``repair_ceiling``) runs inside the kernel: when the
-vectorized level sweep hits an under-budgeted gate, sizing restarts as a
-replay in the scalar search's exact processing order (repair mutates
-driver budgets sequentially, so order is semantics), with the same
-4-iteration deficit shift and the same full-STA re-verification. Before
-the replay walks the circuit, a critical-delay floor (every gate at
-``w_max``, every sink at ``w_min``) may certify that no sizing can pass
-that verification; the corner is then infeasible with nothing repaired,
-exactly as in the scalar reference. A gate that stays unsizable even
-after repair aborts the replay immediately — the corner is definitively
-infeasible and only the verdict is observable, so the remaining widths
-need not be produced (they are left at 1.0, unlike the scalar path's
-``w_max`` placeholders).
+Budget repair (``repair_ceiling``) runs inside the kernel. The level
+sweep stops once every design either has contention (a gate that cannot
+switch) or hit an under-budgeted gate; for one design, that is the first
+failing level. Those designs then replay sizing one at a time in the
+scalar search's exact processing order (repair mutates driver budgets
+sequentially, so order is semantics), with the same 4-iteration deficit
+shift, and every repaired design is verified with one STA call against
+the ceiling. Before the replay walks the circuit, a critical-delay floor
+(every gate at ``w_max``, every sink at ``w_min``) may certify that no
+sizing can pass that verification; the corner is then infeasible with
+nothing repaired, exactly as in the scalar reference. A gate that stays
+unsizable even after repair aborts the replay immediately — the corner
+is definitively infeasible and only the verdict is observable, so the
+remaining widths need not be produced (they are left at 1.0, unlike the
+scalar path's ``w_max`` placeholders).
 """
 
 from __future__ import annotations
@@ -39,8 +58,9 @@ from typing import Dict, List, Mapping, Tuple, Union
 
 import numpy as np
 
-from repro.errors import OptimizationError, TimingError
+from repro.errors import OptimizationError
 from repro.fastpath.arrays import ArrayContext
+from repro.fastpath.batch import BatchValue, is_batch, normalize_args
 from repro.obs import trace
 from repro.obs.instrument import (
     BUDGET_REPAIRS,
@@ -78,11 +98,47 @@ def _as_values(arrays: ArrayContext, value: Voltage) -> "float | np.ndarray":
     return arrays.values_to_array(value)
 
 
+def _normalize(arrays: ArrayContext, vdd, vth, w=None):
+    """``(vdd, vth, w, lead)`` in kernel form.
+
+    ``lead`` is ``()`` for one design (float or ``(n,)`` voltages,
+    ``(n,)`` widths) and ``(B,)`` for a batch (``BatchValue.values``,
+    ``(B, n)`` or ``(1, n)`` widths).
+    """
+    if (w is not None and w.ndim == 2) or is_batch(vdd) or is_batch(vth):
+        vdd, vth, w, rows = normalize_args(arrays, vdd, vth, w)
+        return vdd.values, vth.values, w, (rows,)
+    return _as_values(arrays, vdd), _as_values(arrays, vth), w, ()
+
+
+def _design(value, b: int):
+    """Design ``b`` of a batched quantity, in single-design form."""
+    return BatchValue(value, per_gate=np.shape(value)[-1:] != (1,)).row(b)
+
+
+def _designs(value, rows: np.ndarray):
+    """Designs ``rows`` of a batched quantity (shared values as-is)."""
+    return BatchValue(value, per_gate=False).take(rows).values
+
+
+def _per_design(value, lead: Tuple[int, ...]):
+    """A per-design quantity at shape ``lead`` (a value shared by every
+    design is repeated)."""
+    if np.shape(value) == lead:
+        return value
+    return np.broadcast_to(value, lead)
+
+
+def _row_sums(terms: np.ndarray, lead: Tuple[int, ...]):
+    """Per-design sums of per-gate ``terms``."""
+    return _per_design(np.sum(terms, axis=-1), lead)
+
+
 def _currents(arrays: ArrayContext, vdd, vth) -> Tuple[np.ndarray, np.ndarray]:
     """Per-gate ``(drain_current, off_current)`` per unit width.
 
-    Scalar voltages go straight through the scalar reference model (the
-    single-corner hot path); vectors go through the array device model,
+    Global voltages go straight through the scalar reference model (the
+    single-corner hot path); arrays go through the array device model,
     whose every element is ``==`` to the scalar model's, so the physics
     is bit-identical between engines in both modes.
     """
@@ -93,10 +149,15 @@ def _currents(arrays: ArrayContext, vdd, vth) -> Tuple[np.ndarray, np.ndarray]:
     return array_model.currents(tech, vdd, vth)
 
 
-def _drive_per_width(arrays: ArrayContext, vdd, vth):
-    """Vectorized ``effective_drive_per_width`` over all gates."""
+def _drive_per_width(arrays: ArrayContext, vdd, vth, currents=None):
+    """Vectorized ``effective_drive_per_width`` over all gates.
+
+    ``currents`` shares a :func:`_currents` result already computed for
+    these exact voltages (same doubles, no recompute).
+    """
     tech = arrays.ctx.tech
-    current, off = _currents(arrays, vdd, vth)
+    current, off = (_currents(arrays, vdd, vth) if currents is None
+                    else currents)
     stack = 1.0 + tech.stack_derating * (arrays.fanin_count - 1)
     return current / stack - arrays.fanin_count * off
 
@@ -109,19 +170,30 @@ def _slope_coefficients(arrays: ArrayContext, vdd, vth):
     return array_model.slope_coefficients(tech, vdd, vth)
 
 
-def _at(value, index: int) -> float:
-    """One gate's value out of a scalar-or-vector quantity."""
-    if isinstance(value, np.ndarray):
-        return float(value[index])
-    return value
-
-
 def _cols(value, start: int, stop: int):
     """A level slice of a per-gate quantity: a scalar, a per-row scalar
     column ``(B, 1)``, or a per-gate ``(n,)`` / ``(?, n)`` array."""
     if not isinstance(value, np.ndarray) or value.shape[-1] == 1:
         return value
     return value[..., start:stop]
+
+
+def _loads(arrays: ArrayContext, w: np.ndarray
+           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(load, wire_rc, flight)`` of every gate at widths ``w``; the
+    load is the gate's own drain cap plus its external cap."""
+    plan = arrays.sweep_plan()
+    ext, rc, flight = plan.full.parasitics(plan.pad(w))
+    return w * arrays.self_cap + ext, rc, flight
+
+
+def _fixed_delays(k_vdd, drive, w, load, rc, flight) -> np.ndarray:
+    """Each gate's width-dependent delay: switching + wire RC + flight
+    (``inf`` where the gate cannot switch). Works on any row subset."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        switching = np.where(drive > 0.0, k_vdd * load / (drive * w),
+                             np.inf)
+    return switching + rc + flight
 
 
 def _propagate(arrays: ArrayContext, slope_k, fixed: np.ndarray
@@ -149,32 +221,61 @@ def _propagate(arrays: ArrayContext, slope_k, fixed: np.ndarray
     return delays, arrivals
 
 
-def _critical(arrays: ArrayContext, arrivals: np.ndarray) -> float:
-    """The latest output arrival of one design (``0.0`` at minimum).
+def _critical(arrays: ArrayContext, arrivals: np.ndarray) -> np.ndarray:
+    """The latest output arrival per design (``0.0`` at minimum).
 
-    An output that is itself a primary input arrives at 0.0, exactly as
-    in the scalar pass; an output missing from both the gate index and
-    the primary inputs raises :class:`~repro.errors.TimingError`.
+    Reads :meth:`ArrayContext.output_rows`, so an output missing from
+    both the gate index and the primary inputs raises
+    :class:`~repro.errors.TimingError`; an output that is itself a
+    primary input arrives at 0.0, exactly as in the scalar pass. NaN
+    arrivals never win, as with Python's ``max``.
     """
-    network = arrays.ctx.network
-    critical = 0.0
-    for name in network.outputs:
-        position = arrays.index.get(name)
-        if position is None:
-            if not network.gate(name).is_input:
-                raise TimingError(
-                    f"output {name!r} is neither a logic gate nor a "
-                    f"primary input")
-            arrival = 0.0  # ideal primary input feeding an output port
-        else:
-            arrival = float(arrivals[position])
-        critical = max(critical, arrival)
-    return critical
+    return np.fmax.reduce(arrivals[..., arrays.output_rows()], axis=-1,
+                          initial=0.0)
+
+
+def _input_load(arrays: ArrayContext, w: np.ndarray) -> np.ndarray:
+    """The switched load of each primary-input net at widths ``w``:
+    its self and wire cap, boundary receivers and gate receivers."""
+    sink_caps = arrays.sweep_plan().input_nets.reduce(
+        np.add, w[..., arrays.input_fanout.indices] * arrays.input_fanout_cap)
+    return arrays.input_self_plus_wire + arrays.input_fixed_cap + sink_caps
+
+
+def _energy_terms(activity: np.ndarray, vdd, w: np.ndarray, off,
+                  load: np.ndarray, frequency: float
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-gate ``(static, dynamic)`` energy terms (eqs. A1, A2) of any
+    row subset."""
+    return (vdd * w * off / frequency,
+            0.5 * activity * vdd * vdd * load)
+
+
+def _energy_totals(arrays: ArrayContext, vdd, w: np.ndarray,
+                   static_terms: np.ndarray, dynamic_terms: np.ndarray,
+                   lead: Tuple[int, ...] = ()
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-design ``(static, dynamic)`` totals of the per-gate terms.
+
+    The dynamic total adds the input-net term: module ports drive the
+    gate inputs and wire at the module IO rail, the highest rail of the
+    design, mirroring ``repro.power.energy``.
+    """
+    io_rail = (np.max(vdd, axis=-1, keepdims=True)
+               if isinstance(vdd, np.ndarray) else vdd)
+    input_terms = (0.5 * arrays.input_activity * io_rail * io_rail
+                   * _input_load(arrays, w))
+    return (_row_sums(static_terms, lead),
+            _row_sums(dynamic_terms, lead) + _row_sums(input_terms, lead))
 
 
 @dataclass(frozen=True)
 class FastSizing:
     """Vectorized sizing outcome (processing order = reverse topological).
+
+    For one design: ``widths`` ``(n,)``, ``feasible`` a bool and
+    ``repaired`` the repaired gate names. For a batch: ``(B, n)``, a
+    ``(B,)`` bool array and one name tuple per design.
 
     On an infeasible outcome the widths are not meaningful (the repair
     replay aborts at the first definitively unsizable gate); only the
@@ -182,9 +283,9 @@ class FastSizing:
     """
 
     widths: np.ndarray
-    feasible: bool
+    feasible: "bool | np.ndarray"
     #: Gates whose budgets were repaired (deficit moved onto drivers).
-    repaired: Tuple[str, ...] = ()
+    repaired: tuple = ()
 
     def widths_map(self, arrays: ArrayContext) -> Dict[str, float]:
         return arrays.array_to_widths(self.widths)
@@ -200,90 +301,133 @@ def fast_size_widths(arrays: ArrayContext, budgets: np.ndarray,
 
     Without ``repair_ceiling`` this is the pure level sweep (infeasible
     when any budget cannot be met, exactly like the scalar search run
-    without repair). With it, under-budgeted gates trigger the scalar-
-    order repair replay described in the module docstring, and any
-    assignment that used repair is re-verified with a full STA pass
-    against the ceiling. ``warm`` (an array-order width vector) seeds
-    the ``bisect`` brackets — one extra probe per level, mirroring the
-    scalar search gate by gate; the closed-form solver ignores it.
+    without repair). With it, under-budgeted designs take the
+    scalar-order repair replay described in the module docstring, and
+    any design that used repair is re-verified with a full STA pass
+    against the ceiling. ``warm`` (array-order widths, ``(n,)`` or one
+    row per design) seeds the ``bisect`` brackets — one extra probe per
+    level, mirroring the scalar search gate by gate; the closed-form
+    solver ignores it. Batched voltages size one design per row.
     """
-    from repro.fastpath import batch as _batch
-    if _batch.is_batch(vdd) or _batch.is_batch(vth):
-        if warm is not None:
-            raise OptimizationError(
-                "warm bisection seeds are not supported on the batched "
-                "path; size warm-started searches row by row")
-        vdd_b, vth_b, _, n_rows = _batch.normalize_args(arrays, vdd, vth)
-        return _batch.batch_size_widths(arrays, budgets, vdd_b, vth_b,
-                                        n_rows, method=method,
-                                        bisect_steps=bisect_steps,
-                                        repair_ceiling=repair_ceiling)
     if method not in ("closed_form", "bisect"):
         raise OptimizationError(f"unknown width-search method {method!r}")
+    vdd, vth, _, lead = _normalize(arrays, vdd, vth)
     span_name = "width_bisect" if method == "bisect" else "width_search"
     with trace.span(span_name, method=method, engine="fast"), \
-            seam("width_search", counter=WIDTH_SIZINGS):
-        return _fast_size_widths(arrays, budgets, vdd, vth, method,
-                                 bisect_steps, repair_ceiling, warm)
+            seam("width_search", counter=WIDTH_SIZINGS,
+                 calls=lead[0] if lead else 1):
+        return _size_widths(arrays, budgets, vdd, vth, lead, method,
+                            bisect_steps, repair_ceiling, warm)
 
 
-def _fast_size_widths(arrays: ArrayContext, budgets: np.ndarray,
-                      vdd: Voltage, vth: Voltage, method: str,
-                      bisect_steps: int,
-                      repair_ceiling: float | None,
-                      warm: np.ndarray | None = None) -> FastSizing:
+def _size_widths(arrays: ArrayContext, budgets: np.ndarray, vdd, vth,
+                 lead: Tuple[int, ...], method: str, bisect_steps: int,
+                 repair_ceiling: float | None,
+                 warm: np.ndarray | None) -> FastSizing:
     tech = arrays.ctx.tech
     n = arrays.n_gates
-    vdd = _as_values(arrays, vdd)
-    vth = _as_values(arrays, vth)
     drive = _drive_per_width(arrays, vdd, vth)
-    if np.any(drive <= 0.0):
-        # Subthreshold contention: some gate cannot switch at any width,
-        # and repair cannot help (the scalar path reaches the same
-        # verdict after sizing the remaining gates).
-        return FastSizing(widths=np.full(n, tech.width_max), feasible=False)
-
-    slope_k = _slope_coefficients(arrays, vdd, vth)
-    fanin_budget = arrays.segment_max(arrays.fanin,
-                                      budgets[arrays.fanin.indices])
-    slope = slope_k * fanin_budget
-
-    k_vdd = tech.velocity_saturation_coeff * vdd
-    self_term = k_vdd * arrays.self_cap / drive
-    # The closed form's ``budget - slope - rc - flight - self`` runs
-    # left to right; its first difference is width-independent.
-    headroom = budgets - slope
+    # Subthreshold contention: such a design cannot switch at any width,
+    # and repair cannot help (the scalar path reaches the same verdict
+    # after sizing the remaining gates).
+    contention = _per_design(np.any(drive <= 0.0, axis=-1), lead)
+    if contention.all():
+        return _sizing(np.full(lead + (n,), tech.width_max), ~contention,
+                       [()] * contention.size, lead)
 
     plan = arrays.sweep_plan()
-    padded = plan.pad(np.ones(n))
-    w = padded[:n]
-    feasible = True
-    with np.errstate(divide="ignore", invalid="ignore"):
+    slope_k = _slope_coefficients(arrays, vdd, vth)
+    fanin_budget = plan.fanin.reduce(np.maximum,
+                                     budgets[arrays.fanin.indices])
+    slope = slope_k * fanin_budget
+    k_vdd = tech.velocity_saturation_coeff * vdd
+
+    padded = plan.pad(np.ones(lead + (n,)))
+    w = padded[..., :n]
+    failed = np.zeros(lead, dtype=bool)
+    settled = contention
+    with np.errstate(all="ignore"):
+        self_term = k_vdd * arrays.self_cap / drive
+        # The closed form's ``budget - slope - rc - flight - self`` runs
+        # left to right; its first difference is width-independent.
+        headroom = budgets - slope
         for level in plan.levels:
             start, stop = level.start, level.stop
             ext, rc, flight = level.parasitics(padded)
             if method == "closed_form":
-                available = (headroom[start:stop] - rc - flight
-                             - self_term[start:stop])
+                available = (headroom[..., start:stop] - rc - flight
+                             - self_term[..., start:stop])
                 ext_term = (_cols(k_vdd, start, stop) * ext
-                            / drive[start:stop])
+                            / drive[..., start:stop])
                 needed = np.where(available > 0.0, ext_term / available,
                                   np.inf)
             else:
                 needed = _bisect_level(arrays, budgets, slope, rc, flight,
                                        k_vdd, drive, ext, start, stop,
                                        bisect_steps, warm)
-            if np.any(needed > tech.width_max):
-                feasible = False
-                if repair_ceiling is not None:
-                    # Restart as a scalar-order replay with repair enabled.
-                    return _size_with_repair(arrays, budgets, vdd, vth,
-                                             drive, slope_k, k_vdd, method,
-                                             bisect_steps, repair_ceiling,
-                                             warm)
+            over = needed > tech.width_max
+            if over.any():
+                failed |= over.any(axis=-1)
+                settled = failed | contention
+                if repair_ceiling is not None and settled.all():
+                    break  # every design is left to the replay (or lost)
                 needed = np.minimum(needed, tech.width_max)
-            w[start:stop] = np.maximum(needed, tech.width_min)
-    return FastSizing(widths=w, feasible=feasible)
+            w[..., start:stop] = np.maximum(needed, tech.width_min)
+
+    feasible = np.array(~settled)  # a 0-d array for one design: writable
+    if contention.any():
+        w[contention] = tech.width_max
+    repaired: List[Tuple[str, ...]] = [()] * feasible.size
+    if repair_ceiling is not None and failed.any():
+        _replay(arrays, budgets, vdd, vth, lead, w, feasible, repaired,
+                np.flatnonzero(failed & ~contention), drive, slope_k,
+                k_vdd, method, bisect_steps, repair_ceiling, warm)
+    return _sizing(w, feasible, repaired, lead)
+
+
+def _sizing(w: np.ndarray, feasible: np.ndarray,
+            repaired: List[Tuple[str, ...]], lead) -> FastSizing:
+    if not lead:
+        return FastSizing(widths=w, feasible=bool(feasible),
+                          repaired=repaired[0])
+    return FastSizing(widths=np.ascontiguousarray(w), feasible=feasible,
+                      repaired=tuple(repaired))
+
+
+def _replay(arrays: ArrayContext, budgets: np.ndarray, vdd, vth, lead,
+            w: np.ndarray, feasible: np.ndarray,
+            repaired: List[Tuple[str, ...]], rows: np.ndarray, drive,
+            slope_k, k_vdd, method: str, bisect_steps: int,
+            repair_ceiling: float, warm: np.ndarray | None) -> None:
+    """Replay designs ``rows`` with repair, then verify the repaired
+    ones with one STA call; updates ``w``, ``feasible`` and
+    ``repaired`` in place."""
+    w_rows = w.reshape(-1, arrays.n_gates)
+    feasible_rows = feasible.reshape(-1)
+    verify: List[int] = []
+    for b in rows:
+        outcome = _size_with_repair(
+            arrays, budgets, _design(drive, b), _design(slope_k, b),
+            _design(k_vdd, b), method, bisect_steps, repair_ceiling,
+            None if warm is None else _design(warm, b))
+        w_rows[b] = outcome.widths
+        feasible_rows[b] = outcome.feasible
+        repaired[b] = outcome.repaired
+        if outcome.feasible and outcome.repaired:
+            verify.append(int(b))
+    if not verify:
+        return
+    # Repairs perturb the budget bookkeeping the per-gate guarantees
+    # rest on; verify the actual designs with a full STA pass.
+    if lead:
+        picked = np.asarray(verify)
+        critical, _ = _timed_sta(arrays, _designs(vdd, picked),
+                                 _designs(vth, picked), w_rows[picked],
+                                 (len(verify),))
+    else:
+        picked = verify
+        critical, _ = _timed_sta(arrays, vdd, vth, w, ())
+    feasible_rows[picked] &= critical <= repair_ceiling * (1.0 + 1e-9)
 
 
 def _bisect_level(arrays: ArrayContext, budgets: np.ndarray,
@@ -299,9 +443,9 @@ def _bisect_level(arrays: ArrayContext, budgets: np.ndarray,
     """
     tech = arrays.ctx.tech
     k_lvl = _cols(k_vdd, start, stop)
-    drive_lvl = drive[start:stop]
+    drive_lvl = drive[..., start:stop]
     self_lvl = arrays.self_cap[start:stop]
-    fixed = slope[start:stop] + rc + flight
+    fixed = slope[..., start:stop] + rc + flight
     budget = budgets[start:stop]
 
     def delay_at(width) -> np.ndarray:
@@ -311,10 +455,10 @@ def _bisect_level(arrays: ArrayContext, budgets: np.ndarray,
     feasible_at_max = delay_at(tech.width_max) <= budget
     done_at_min = delay_at(tech.width_min) <= budget
 
-    low = np.full(stop - start, tech.width_min)
-    high = np.full(stop - start, tech.width_max)
+    low = np.full(ext.shape, tech.width_min)
+    high = np.full(ext.shape, tech.width_max)
     if warm is not None:
-        warm_lvl = warm[start:stop]
+        warm_lvl = warm[..., start:stop]
         probe = (warm_lvl > low) & (warm_lvl < high)
         if np.any(probe):
             meets = delay_at(np.where(probe, warm_lvl, high)) <= budget
@@ -472,22 +616,19 @@ def _as_list(value, n: int) -> List[float]:
     return [float(value)] * n
 
 
-def _size_with_repair(arrays: ArrayContext, budgets: np.ndarray,
-                      vdd, vth, drive, slope_k, k_vdd, method: str,
-                      bisect_steps: int, repair_ceiling: float,
-                      warm: np.ndarray | None = None,
-                      verify: bool = True) -> FastSizing:
-    """Replay sizing in scalar processing order with repair enabled.
+def _size_with_repair(arrays: ArrayContext, budgets: np.ndarray, drive,
+                      slope_k, k_vdd, method: str, bisect_steps: int,
+                      repair_ceiling: float,
+                      warm: np.ndarray | None = None) -> FastSizing:
+    """Replay one design's sizing in scalar processing order with
+    repair enabled.
 
     Aborts at the first gate that stays unsizable after repair — the
     corner is then definitively infeasible and widths are unobservable.
     Before the walk, :func:`_delay_floor` may certify the corner
-    hopeless: then nothing is repaired and the verdict is infeasible.
-
-    ``verify=False`` skips the full-STA check of a repaired design and
-    reports it feasible *pending verification* — the batched path
-    collects those rows and verifies them all in one ``batch_sta`` call
-    (bit-identical per row, same counter totals).
+    hopeless: then nothing is repaired and the verdict is infeasible. A
+    repaired design comes back feasible *pending verification*: the
+    caller runs the full-STA check (:func:`_replay`).
     """
     tech = arrays.ctx.tech
     n = arrays.n_gates
@@ -527,17 +668,9 @@ def _size_with_repair(arrays: ArrayContext, budgets: np.ndarray,
             repaired.append(i)
         w[i] = width
 
-    widths = np.asarray(w)
-    feasible = True
     if repaired:
         current_metrics().incr(BUDGET_REPAIRS, len(repaired))
-        # Repairs perturb the budget bookkeeping the per-gate guarantees
-        # rest on; verify the actual design with a full STA pass.
-        if verify:
-            critical, _ = fast_sta(arrays, vdd, vth, widths)
-            if critical > repair_ceiling * (1.0 + 1e-9):
-                feasible = False
-    return FastSizing(widths=widths, feasible=feasible,
+    return FastSizing(widths=np.asarray(w), feasible=True,
                       repaired=_names(arrays, repaired))
 
 
@@ -555,7 +688,7 @@ def _delay_floor(arrays: ArrayContext, drive, slope_k, k_vdd) -> float:
     switching = k_vdd * plan.floor_load / (drive * w_max)
     fixed = switching + plan.floor_rc + plan.full.flight
     _, arrivals = _propagate(arrays, slope_k, fixed)
-    return _critical(arrays, arrivals)
+    return float(_critical(arrays, arrivals))
 
 
 def _names(arrays: ArrayContext, indices: List[int]) -> Tuple[str, ...]:
@@ -566,7 +699,7 @@ def _names(arrays: ArrayContext, indices: List[int]) -> Tuple[str, ...]:
 
 
 def fast_sta(arrays: ArrayContext, vdd: Voltage, vth: Voltage,
-             w: np.ndarray) -> Tuple[float, np.ndarray]:
+             w: np.ndarray, currents=None):
     """Vectorized STA: ``(critical delay, per-gate delays)``.
 
     Matches ``repro.timing.sta.analyze_timing`` (primary inputs ideal).
@@ -574,72 +707,55 @@ def fast_sta(arrays: ArrayContext, vdd: Voltage, vth: Voltage,
     in the scalar pass; an output missing from both the gate index and
     the primary inputs raises :class:`~repro.errors.TimingError`.
 
-    With a ``(B, n)`` width batch (or :class:`~repro.fastpath.batch
-    .BatchValue` voltages) this dispatches to the batched kernel and
-    returns ``(critical (B,), delays (B, n))`` — bit-identical per row.
+    One design gives ``(float, (n,))``; a batch (``(B, n)`` widths or
+    :class:`~repro.fastpath.batch.BatchValue` voltages) gives
+    ``((B,), (B, n))``, each row ``==`` to the single-design call.
+    ``currents`` shares a :func:`_currents` result already computed for
+    these exact voltages.
     """
-    from repro.fastpath import batch as _batch
-    if w.ndim == 2 or _batch.is_batch(vdd) or _batch.is_batch(vth):
-        vdd_b, vth_b, w2, n_rows = _batch.normalize_args(arrays, vdd, vth, w)
-        return _batch.batch_sta(arrays, vdd_b, vth_b, w2, n_rows)
-    tech = arrays.ctx.tech
-    n = arrays.n_gates
-    with seam("sta", counter=STA_CALLS):
-        vdd = _as_values(arrays, vdd)
-        vth = _as_values(arrays, vth)
-        drive = _drive_per_width(arrays, vdd, vth)
-        slope_k = _slope_coefficients(arrays, vdd, vth)
-        k_vdd = tech.velocity_saturation_coeff * vdd
+    vdd, vth, w, lead = _normalize(arrays, vdd, vth, w)
+    critical, delays = _timed_sta(arrays, vdd, vth, w, lead, currents)
+    return (critical if lead else float(critical)), delays
 
-        plan = arrays.sweep_plan()
-        ext, rc, flight = plan.full.parasitics(plan.pad(w))
-        load = w * arrays.self_cap + ext
-        with np.errstate(divide="ignore", invalid="ignore"):
-            switching = np.where(drive > 0.0, k_vdd * load / (drive * w),
-                                 np.inf)
-        fixed = switching + rc + flight
+
+def _timed_sta(arrays: ArrayContext, vdd, vth, w: np.ndarray, lead,
+               currents=None) -> Tuple[np.ndarray, np.ndarray]:
+    rows = lead[0] if lead else 1
+    with seam("sta", counter=STA_CALLS, calls=rows):
+        drive = _drive_per_width(arrays, vdd, vth, currents)
+        slope_k = _slope_coefficients(arrays, vdd, vth)
+        k_vdd = arrays.ctx.tech.velocity_saturation_coeff * vdd
+        load, rc, flight = _loads(arrays, w)
+        fixed = _fixed_delays(k_vdd, drive, w, load, rc, flight)
         delays, arrivals = _propagate(arrays, slope_k, fixed)
-        current_metrics().incr(DELAY_MODEL_CALLS, n)
-    return _critical(arrays, arrivals), delays
+        current_metrics().incr(DELAY_MODEL_CALLS, arrays.n_gates * rows)
+        return _critical(arrays, arrivals), delays
 
 
 def fast_total_energy(arrays: ArrayContext, vdd: Voltage, vth: Voltage,
-                      w: np.ndarray, frequency: float
-                      ) -> Tuple[float, float]:
+                      w: np.ndarray, frequency: float, currents=None):
     """Vectorized eqs. A1 + A2: ``(static, dynamic)`` totals (J/cycle).
 
     With per-gate rails the output swing is the driving gate's own rail
     and primary-input nets swing at the module IO rail (the highest rail
     in use), mirroring ``repro.power.energy``.
 
-    With a ``(B, n)`` width batch (or batched voltages) this dispatches
-    to the batched kernel and returns ``(static (B,), dynamic (B,))``.
+    One design gives two floats; a batch (see :func:`fast_sta`) gives
+    ``(static (B,), dynamic (B,))``, each row ``==`` to the
+    single-design call.
     """
-    from repro.fastpath import batch as _batch
-    if w.ndim == 2 or _batch.is_batch(vdd) or _batch.is_batch(vth):
-        vdd_b, vth_b, w2, n_rows = _batch.normalize_args(arrays, vdd, vth, w)
-        return _batch.batch_total_energy(arrays, vdd_b, vth_b, w2,
-                                         frequency, n_rows)
     if frequency <= 0.0:
         raise OptimizationError(f"frequency must be > 0, got {frequency}")
-    with seam("energy", counter=ENERGY_EVALUATIONS):
-        vdd = _as_values(arrays, vdd)
-        vth = _as_values(arrays, vth)
-        _, off = _currents(arrays, vdd, vth)
-        static = float(np.sum(vdd * w * off / frequency))
-
-        plan = arrays.sweep_plan()
-        ext, _, _ = plan.full.parasitics(plan.pad(w))
-        load = w * arrays.self_cap + ext
-        dynamic = float(np.sum(0.5 * arrays.activity * vdd * vdd * load))
-
-        # Input-net term (module ports drive gate inputs and wire).
-        io_rail = float(np.max(vdd)) if isinstance(vdd, np.ndarray) else vdd
-        sink_caps = arrays.segment_sum(
-            arrays.input_fanout,
-            w[arrays.input_fanout.indices] * arrays.input_fanout_cap)
-        input_load = (arrays.input_self_plus_wire + arrays.input_fixed_cap
-                      + sink_caps)
-        dynamic += float(np.sum(0.5 * arrays.input_activity
-                                * io_rail * io_rail * input_load))
-    return static, dynamic
+    vdd, vth, w, lead = _normalize(arrays, vdd, vth, w)
+    with seam("energy", counter=ENERGY_EVALUATIONS,
+              calls=lead[0] if lead else 1):
+        _, off = _currents(arrays, vdd, vth) if currents is None \
+            else currents
+        load, _, _ = _loads(arrays, w)
+        static_terms, dynamic_terms = _energy_terms(
+            arrays.activity, vdd, w, off, load, frequency)
+        static, dynamic = _energy_totals(arrays, vdd, w, static_terms,
+                                         dynamic_terms, lead)
+    if lead:
+        return static, dynamic
+    return float(static), float(dynamic)

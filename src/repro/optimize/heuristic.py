@@ -33,6 +33,7 @@ verification passes (budget sums bound every path by ``b * T_c``).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
@@ -143,6 +144,15 @@ class HeuristicSettings:
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGY_CHOICES + ("paper",):
             raise OptimizationError(f"unknown strategy {self.strategy!r}")
+        for name in ("search_budget", "m_steps", "grid_vdd", "grid_vth",
+                     "prune_probes"):
+            value = getattr(self, name)
+            if value is None and name == "search_budget":
+                continue
+            if isinstance(value, bool) \
+                    or not isinstance(value, numbers.Integral):
+                raise OptimizationError(
+                    f"{name} must be an integer, got {value!r}")
         if self.search_budget is not None and self.search_budget < 1:
             raise OptimizationError(
                 f"search_budget must be >= 1, got {self.search_budget}")

@@ -61,29 +61,25 @@ def grid_lower_bounds(problem: "OptimizationProblem",
     dynamic terms charge loads that only grow with the widths they
     gather — so evaluating them at all-minimum widths bounds any sizing
     the solver can return, feasible or not. The width-dependent load
-    sums are computed once (vectorized, via the fastpath parasitics
-    kernel); each cell then costs two scalar device-model calls. Cells
-    whose drive is non-positive at minimum stack loading are infeasible
-    for *every* width assignment and bound to ``inf``.
+    sums are computed once (vectorized, via the fastpath's gate-load
+    and input-net load helpers); each cell then costs two scalar
+    device-model calls. Cells whose drive is non-positive at minimum
+    stack loading are infeasible for *every* width assignment and bound
+    to ``inf``.
     """
     import numpy as np
 
     from repro.engine.array import array_context_for
-    from repro.fastpath.evaluate import _currents
+    from repro.fastpath.evaluate import _currents, _input_load, _loads
 
     arrays = array_context_for(problem.ctx)
     tech = problem.tech
     n = arrays.n_gates
     wmin = np.full(n, tech.width_min)
-    plan = arrays.sweep_plan()
-    ext, _, _ = plan.full.parasitics(plan.pad(wmin))
-    load = wmin * arrays.self_cap + ext
+    load, _, _ = _loads(arrays, wmin)
     activity_load = float(np.sum(arrays.activity * load))
-    sink_caps = arrays.segment_sum(
-        arrays.input_fanout,
-        wmin[arrays.input_fanout.indices] * arrays.input_fanout_cap)
-    input_load = float(np.sum(arrays.input_activity * (
-        arrays.input_self_plus_wire + arrays.input_fixed_cap + sink_caps)))
+    input_load = float(np.sum(arrays.input_activity
+                              * _input_load(arrays, wmin)))
     width_sum = float(np.sum(wmin))
     stacks = [(float(fanin), 1.0 + tech.stack_derating * (fanin - 1))
               for fanin in np.unique(arrays.fanin_count)]

@@ -158,19 +158,18 @@ class JobRequest:
                 f"deadline_s must be > 0, got {self.deadline_s}")
         if self.n_vth < 1:
             raise OptimizationError(f"n_vth must be >= 1, got {self.n_vth}")
-        if self.search_budget is not None and self.search_budget < 1:
-            raise OptimizationError(
-                f"search_budget must be >= 1, got {self.search_budget}")
         # The solver's own checks, run now rather than in the worker:
         # the input profile's (probability in [0, 1], density within
-        # its Markov limit) and the search settings' grid sizes.
+        # its Markov limit) and the search settings' counts (integers,
+        # in range).
         from repro.activity.profiles import InputProfile
         from repro.optimize.heuristic import HeuristicSettings
 
         InputProfile(probabilities={"inputs": self.probability},
                      densities={"inputs": self.activity})
         HeuristicSettings(m_steps=self.m_steps, grid_vdd=self.grid_vdd,
-                          grid_vth=self.grid_vth)
+                          grid_vth=self.grid_vth,
+                          search_budget=self.search_budget)
         if self.robust is not None:
             if self.n_vth > 1:
                 raise OptimizationError(

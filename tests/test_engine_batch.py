@@ -24,6 +24,8 @@ from repro.activity.profiles import uniform_profile
 from repro.engine import fingerprint_engine_name, make_engine
 from repro.engine.base import Evaluator
 from repro.experiments.common import build_problem
+from repro.fastpath.batch import BatchValue
+from repro.fastpath.evaluate import fast_size_widths
 from repro.netlist.generator import GeneratorSpec, generate_network
 from repro.obs.instrument import BATCH_CALLS, BATCH_FALLBACK, BATCH_ROWS
 from repro.obs.metrics import MetricsRegistry, use_metrics
@@ -155,6 +157,38 @@ def test_repair_corner_batch_identical():
     batched = batch.evaluate_batch(budgets, [c[0] for c in corners],
                                    [c[1] for c in corners])
     _assert_rows_identical(batched, looped)
+
+    # The shared sweep stops early once every row has contention or
+    # needs the replay: a batch where every row takes the replay
+    # (repaired-feasible, certified, unrepairable), and one where only
+    # some do (beside clean rows and a contention row).
+    arrays = fast.arrays
+    budget_vec = arrays.budgets_to_array(budgets.budgets)
+    ceiling = budgets.effective_cycle_time
+    contention = (0.02, 0.3)  # no gate can switch: no sweep, no replay
+    every = [(0.7, 0.3), (0.5, 0.45), (0.8, 0.4), (1.0, 0.35)]
+    some = [(1.0, 0.3), (0.9, 0.3), contention, (1.2, 0.35), (0.6, 0.55),
+            (0.8, 0.45)]
+
+    def needs_replay(corner):
+        return corner != contention and not fast_size_widths(
+            arrays, budget_vec, *corner).feasible
+
+    assert all(needs_replay(corner) for corner in every)
+    assert 0 < sum(map(needs_replay, some)) < len(some) - 1
+    for rows in (every, some):
+        vdd = BatchValue(np.asarray([[v] for v, _ in rows]), per_gate=False)
+        vth = BatchValue(np.asarray([[v] for _, v in rows]), per_gate=False)
+        for method in ("closed_form", "bisect"):
+            sized = fast_size_widths(arrays, budget_vec, vdd, vth,
+                                     method=method, repair_ceiling=ceiling)
+            for b, corner in enumerate(rows):
+                single = fast_size_widths(arrays, budget_vec, *corner,
+                                          method=method,
+                                          repair_ceiling=ceiling)
+                assert bool(sized.feasible[b]) == single.feasible, corner
+                assert sized.repaired[b] == single.repaired, corner
+                assert np.array_equal(sized.widths[b], single.widths), corner
 
 
 def test_single_row_batch_degenerate():

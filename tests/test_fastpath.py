@@ -1,11 +1,13 @@
 """Equivalence tests: the vectorized engine vs the scalar reference."""
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.engine.incremental import IncrementalEngine
 from repro.experiments.common import build_problem
 from repro.fastpath import (
     ArrayContext,
@@ -112,6 +114,34 @@ def test_fast_engine_on_random_widths_sta_infinite_corner(s298_arrays):
     assert critical == float("inf")
 
 
+def test_batched_warm_bisection_matches_rows(s298_arrays):
+    """Warm bisection probes run in the shared level kernel at both
+    ranks: each batched row == the single-design call with its seed."""
+    from repro.fastpath.batch import BatchValue
+
+    problem, budgets, arrays = s298_arrays
+    budget_vec = arrays.budgets_to_array(budgets.budgets)
+    ceiling = budgets.effective_cycle_time
+    corners = [(1.5, 0.3), (0.9, 0.3), (0.7, 0.45)]
+    rng = random.Random(7)
+    warm = np.asarray([[rng.uniform(1.0, 20.0) for _ in range(arrays.n_gates)]
+                       for _ in corners])
+    vdd = BatchValue(np.asarray([[v] for v, _ in corners]), per_gate=False)
+    vth = BatchValue(np.asarray([[v] for _, v in corners]), per_gate=False)
+    for seeds in (warm, warm[0]):
+        batched = fast_size_widths(arrays, budget_vec, vdd, vth,
+                                   method="bisect", repair_ceiling=ceiling,
+                                   warm=seeds)
+        for b, (v, t) in enumerate(corners):
+            single = fast_size_widths(arrays, budget_vec, v, t,
+                                      method="bisect", repair_ceiling=ceiling,
+                                      warm=seeds if seeds.ndim == 1
+                                      else seeds[b])
+            assert bool(batched.feasible[b]) == single.feasible
+            assert batched.repaired[b] == single.repaired
+            assert np.array_equal(batched.widths[b], single.widths)
+
+
 def test_unknown_engine_rejected():
     from repro.errors import OptimizationError
 
@@ -206,6 +236,12 @@ def test_output_fed_by_primary_input_matches_scalar():
     critical, _ = fast_sta(arrays, 2.5, 0.3, w)
     reference = analyze_timing(problem.ctx, 2.5, 0.3, widths)
     assert critical == pytest.approx(reference.critical_delay, rel=1e-12)
+    # The batched kernel and the incremental engine share the one
+    # critical-delay reduction: the same arrival, row for row.
+    batched, _ = fast_sta(arrays, 2.5, 0.3, np.stack([w] * 3))
+    assert batched.tolist() == [critical] * 3
+    engine = IncrementalEngine(problem)
+    assert engine.begin(2.5, 0.3, widths).critical_delay == critical
 
 
 def test_unknown_output_raises_timing_error(s27_problem):
@@ -219,6 +255,17 @@ def test_unknown_output_raises_timing_error(s27_problem):
     w = np.ones(arrays.n_gates) * 4.0
     with pytest.raises(TimingError, match="neither a logic gate nor"):
         fast_sta(arrays, 2.5, 0.3, w)
+    with pytest.raises(TimingError, match="neither a logic gate nor"):
+        fast_sta(arrays, 2.5, 0.3, np.stack([w] * 3))
+    # The incremental engine on its own local copy (its constructor
+    # needs the full index to map gate names).
+    local = ArrayContext(s27_problem.ctx)
+    with mock.patch("repro.engine.array.array_context_for",
+                    return_value=local):
+        engine = IncrementalEngine(s27_problem)
+    del local.index[victim]
+    with pytest.raises(TimingError, match="neither a logic gate nor"):
+        engine.begin(2.5, 0.3, 4.0)
 
 
 def test_rows_without_fanout_entries_size_and_time_like_scalar():

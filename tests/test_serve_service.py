@@ -241,6 +241,20 @@ class TestRangeAdmission:
         with pytest.raises(OptimizationError, match="m_steps"):
             JobRequest(circuit="s27", m_steps=1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("grid_vdd", 2.5), ("grid_vth", 2.5), ("m_steps", 3.5),
+        ("search_budget", 2.5), ("grid_vdd", True), ("m_steps", "12")])
+    def test_non_integer_count_rejected(self, field, value):
+        with pytest.raises(OptimizationError, match="must be an integer"):
+            JobRequest(circuit="s27", **{field: value})
+
+    @pytest.mark.parametrize("value", [2.5, False])
+    def test_non_integer_prune_probes_rejected(self, value):
+        from repro.optimize.heuristic import HeuristicSettings
+
+        with pytest.raises(OptimizationError, match="prune_probes"):
+            HeuristicSettings(prune_probes=value)
+
     def test_spool_answers_invalid_and_journals_nothing(self, tmp_path):
         service = make_service(tmp_path)
         ticket = new_ticket()
@@ -251,6 +265,18 @@ class TestRangeAdmission:
             (tmp_path / "replies" / f"{ticket}.json").read_text())
         assert reply["status"] == "invalid"
         assert reply["error"] == "ActivityError"
+        assert service.jobs == {}
+
+    def test_spool_answers_invalid_for_a_fractional_grid(self, tmp_path):
+        service = make_service(tmp_path)
+        ticket = new_ticket()
+        (tmp_path / "spool" / f"{ticket}.json").write_text(
+            json.dumps(dict(FAST, grid_vdd=2.5)))
+        service.poll_spool()
+        reply = json.loads(
+            (tmp_path / "replies" / f"{ticket}.json").read_text())
+        assert reply["status"] == "invalid"
+        assert reply["error"] == "OptimizationError"
         assert service.jobs == {}
 
 

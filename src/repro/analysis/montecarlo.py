@@ -12,30 +12,26 @@ is pessimistic. This module quantifies that pessimism:
   *fixed* design (voltages and widths do not change per die),
 * the result is a timing-yield estimate and energy percentiles —
   the numbers a production engineer would hold next to Figure 2a.
+
+Dies are drawn and measured exactly as the robust estimator's are, by
+the one sampler and die loop of :mod:`repro.robust.sampler`.
 """
 
 from __future__ import annotations
 
-import math
-import random
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.errors import (FaultInjectedError, InfeasibleError,
-                          OptimizationError, TimingError)
+from repro.errors import OptimizationError
 from repro.obs.instrument import MC_SAMPLES_FAILED
 from repro.obs.metrics import current_metrics
 from repro.optimize.problem import DesignPoint, OptimizationProblem
 from repro.power.energy import total_energy
+from repro.robust.sampler import VthSampler, measure_dies, validate_variation
 from repro.runtime.supervisor import (ParallelPlan, resolve_parallel,
                                       run_sharded)
 from repro.runtime.tasks import Task, chunk_ranges
 from repro.timing.sta import analyze_timing
-
-#: Errors that quarantine a single sample instead of killing the run
-#: (matches :data:`repro.robust.estimator.SAMPLE_FAULTS`).
-_SAMPLE_FAULTS = (TimingError, InfeasibleError, OptimizationError,
-                  FaultInjectedError)
 
 
 @dataclass(frozen=True)
@@ -48,8 +44,7 @@ class VariationStatistics:
     sigma_within: float = 0.010
 
     def __post_init__(self) -> None:
-        if self.sigma_die < 0.0 or self.sigma_within < 0.0:
-            raise OptimizationError("sigmas must be >= 0")
+        validate_variation(self.sigma_die, self.sigma_within)
 
 
 @dataclass(frozen=True)
@@ -90,133 +85,36 @@ def _percentile(sorted_values: Tuple[float, ...], fraction: float) -> float:
     return sorted_values[index]
 
 
-def _sample_rng(seed: int, index: int) -> random.Random:
-    """The RNG of sample ``index`` under run seed ``seed``.
-
-    Counter-based (one independent stream per sample) rather than one
-    sequential stream for the whole run: sample ``index`` draws the same
-    offsets whether it is computed serially or inside any batch of any
-    worker, which is what makes the Monte-Carlo sweep jobs-invariant.
-    """
-    return random.Random((seed << 32) ^ index)
-
-
 def _mc_init(problem: OptimizationProblem, design: DesignPoint,
-             statistics: VariationStatistics, seed: int,
-             engine: Optional[str] = None):
+             statistics: VariationStatistics, seed: int, engine: str):
     """Worker init of the Monte-Carlo shards: the shared evaluation state."""
-    engine_obj = None
-    if engine is not None:
-        from repro.engine import make_engine
+    from repro.engine import make_engine
 
-        engine_obj = make_engine(problem, engine)
-    return (problem, design, statistics, seed,
-            tuple(problem.network.logic_gates), engine_obj)
+    sampler = VthSampler(problem.ctx.gates, statistics.sigma_die,
+                         statistics.sigma_within, seed)
+    return problem, design, sampler, make_engine(problem, engine)
 
 
-def _mc_vth_map(design: DesignPoint, statistics: VariationStatistics,
-                gates, seed: int, index: int) -> Dict[str, float]:
-    """Sample ``index``'s perturbed thresholds, in the legacy draw order."""
-    rng = _sample_rng(seed, index)
-    die_offset = rng.gauss(0.0, statistics.sigma_die)
-    vth_map: Dict[str, float] = {}
-    for name in gates:
-        nominal = design.vth_of(name)
-        offset = die_offset + rng.gauss(0.0, statistics.sigma_within)
-        vth_map[name] = max(nominal + offset, 0.02)
-    return vth_map
-
-
-def _mc_engine_batch(state, start: int, stop: int
-                     ) -> Tuple[Tuple[float, ...], Tuple[float, ...],
-                                int, int]:
-    """Engine-backed shard: whole sample ranges per kernel invocation.
-
-    The opt-in fast path of :func:`monte_carlo_variation`: identical
-    CRN draws (same ``_sample_rng`` streams, same per-gate order) fed
-    through the engine seam instead of the reference models. With a
-    batch-capable engine the shard is **one** ``measure_batch`` call;
-    otherwise it loops ``engine.measure``. A fault inside the batched
-    call falls back to the per-sample loop so exactly the faulty
-    sample(s) are quarantined.
-    """
-    problem, design, statistics, seed, gates, engine = state
-    maps = [_mc_vth_map(design, statistics, gates, seed, index)
-            for index in range(start, stop)]
-    measured = None
-    if getattr(engine, "supports_batch", False) and len(maps) > 1:
-        try:
-            rows = engine.measure_batch([design.vdd] * len(maps), maps,
-                                        [design.widths] * len(maps))
-            measured = [(m.energy, m.critical_delay) for m in rows]
-        except _SAMPLE_FAULTS:
-            measured = None
-    energies: List[float] = []
-    delays: List[float] = []
-    met = 0
-    failed = 0
-    cycle = problem.cycle_time
-    for offset, vth_map in enumerate(maps):
-        try:
-            if measured is not None:
-                energy, delay = measured[offset]
-            else:
-                measurement = engine.measure(design.vdd, vth_map,
-                                             design.widths)
-                energy = measurement.energy
-                delay = measurement.critical_delay
-            if not (math.isfinite(energy) and math.isfinite(delay)):
-                raise OptimizationError(
-                    f"non-finite sample {start + offset}: "
-                    f"energy={energy!r}, delay={delay!r}")
-        except _SAMPLE_FAULTS:
-            failed += 1
-            continue
-        delays.append(delay)
-        energies.append(energy)
-        if delay <= cycle * (1.0 + 1e-9):
-            met += 1
-    return tuple(energies), tuple(delays), met, failed
-
-
-def _mc_batch(state, start: int, stop: int
+def _mc_shard(state, start: int, stop: int
               ) -> Tuple[Tuple[float, ...], Tuple[float, ...], int, int]:
-    """Evaluate samples ``[start, stop)`` — a pure Monte-Carlo shard.
+    """Measure dies ``[start, stop)`` — one pure Monte-Carlo shard.
 
-    Returns (energies, delays, met, failed) with the per-sample values
-    in sample order (the outcome sorts globally, so concatenation order
-    never matters — but determinism per sample does). A sample whose
-    STA or energy evaluation raises a model fault (or produces a
-    non-finite value) is quarantined and counted in ``failed`` rather
-    than killing the whole run; the caller enforces the failure-
-    fraction threshold.
+    Returns (energies, delays, met, failed) with the per-die values in
+    die order (the outcome sorts globally, so concatenation order never
+    matters — but determinism per die does). The shard draws its own
+    dies and keeps nothing; quarantined dies only count in ``failed``,
+    and the caller enforces the failure-fraction threshold.
     """
-    problem, design, statistics, seed, gates, _engine = state
-    energies: List[float] = []
-    delays: List[float] = []
-    met = 0
-    failed = 0
-    cycle = problem.cycle_time
-    for index in range(start, stop):
-        vth_map = _mc_vth_map(design, statistics, gates, seed, index)
-        try:
-            timing = analyze_timing(problem.ctx, design.vdd, vth_map,
-                                    design.widths)
-            energy = total_energy(problem.ctx, design.vdd, vth_map,
-                                  design.widths, problem.frequency).total
-            if not (math.isfinite(energy)
-                    and math.isfinite(timing.critical_delay)):
-                raise OptimizationError(
-                    f"non-finite sample {index}: energy={energy!r}, "
-                    f"delay={timing.critical_delay!r}")
-        except _SAMPLE_FAULTS:
-            failed += 1
-            continue
-        delays.append(timing.critical_delay)
-        energies.append(energy)
-        if timing.meets(cycle, tolerance=1e-9):
-            met += 1
-    return tuple(energies), tuple(delays), met, failed
+    problem, design, sampler, engine = state
+    vth_rows = sampler.thresholds(design.vth, sampler.offsets(start, stop))
+    limit = problem.cycle_time * (1.0 + 1e-9)
+    clean = [sample for sample in measure_dies(engine, design.vdd, vth_rows,
+                                               design.widths)
+             if sample is not None]
+    return (tuple(energy for energy, _ in clean),
+            tuple(delay for _, delay in clean),
+            sum(1 for _, delay in clean if delay <= limit),
+            stop - start - len(clean))
 
 
 def monte_carlo_variation(problem: OptimizationProblem, design: DesignPoint,
@@ -229,44 +127,42 @@ def monte_carlo_variation(problem: OptimizationProblem, design: DesignPoint,
     """Sample Vth variation around ``design`` and measure timing/energy.
 
     The design's nominal Vth (scalar or per-gate) is perturbed per sample;
-    offsets are clamped so every perturbed threshold stays positive.
-    Sampling is counter-seeded per sample (see :func:`_sample_rng`), so
-    the outcome depends only on ``(seed, samples)`` — a parallel plan
+    perturbed thresholds are clamped so they stay positive. Sampling is
+    counter-seeded per die (see :mod:`repro.robust.sampler`), so the
+    outcome depends only on ``(seed, samples)`` — a parallel plan
     (explicit ``parallel=`` or ambient
     :func:`repro.runtime.use_parallel`) shards the samples into batches
     without changing a single drawn value.
 
-    A sample whose evaluation raises a model fault is quarantined (see
-    :func:`_mc_batch`) and reported via ``samples_failed`` /
-    the ``mc.samples_failed`` counter; beyond ``max_failure_fraction``
-    the run raises a labeled :class:`~repro.errors.OptimizationError`
+    A sample whose evaluation raises a model fault (or is non-finite) is
+    quarantined and reported via ``samples_failed`` / the
+    ``mc.samples_failed`` counter; beyond ``max_failure_fraction`` the
+    run raises a labeled :class:`~repro.errors.OptimizationError`
     instead of reporting statistics too corrupted to trust.
 
-    ``engine`` opts into evaluating samples through the named
-    :mod:`repro.engine` seam instead of the reference models — with
-    ``"batch"`` an entire sample range becomes one vectorized kernel
-    invocation (see :func:`_mc_engine_batch`). The CRN draws are
-    identical either way; ``None`` (the default) keeps the legacy
-    reference-model path bit-for-bit.
+    Samples are measured through the named :mod:`repro.engine` seam;
+    ``None`` means ``"scalar"`` (the reference models, never ``"auto"``,
+    so the outcome does not follow ``REPRO_ENGINE``). With a batching
+    engine such as ``"batch"`` a whole shard of dies is one vectorized
+    kernel invocation; the draws are identical either way.
     """
-    if samples < 1:
-        raise OptimizationError(f"samples must be >= 1, got {samples}")
+    statistics = statistics or VariationStatistics()
+    validate_variation(statistics.sigma_die, statistics.sigma_within,
+                       samples=(samples, 1), seed=(seed, None))
     if not 0.0 < max_failure_fraction <= 1.0:
         raise OptimizationError(
             f"max_failure_fraction must lie in (0, 1], "
             f"got {max_failure_fraction}")
-    statistics = statistics or VariationStatistics()
 
     nominal_timing = analyze_timing(problem.ctx, design.vdd, design.vth,
                                     design.widths)
     nominal_energy = total_energy(problem.ctx, design.vdd, design.vth,
                                   design.widths, problem.frequency).total
 
-    state = _mc_init(problem, design, statistics, seed, engine)
-    shard_fn = _mc_batch if engine is None else _mc_engine_batch
+    engine = "scalar" if engine is None else engine
     plan = resolve_parallel(parallel)
     if plan is not None and plan.active and samples > 1:
-        tasks = [Task(key=f"mc[{start}:{stop}]", index=start, fn=shard_fn,
+        tasks = [Task(key=f"mc[{start}:{stop}]", index=start, fn=_mc_shard,
                       args=(start, stop))
                  for start, stop in chunk_ranges(samples, plan.jobs * 4)]
         run = run_sharded(tasks, init_fn=_mc_init,
@@ -277,7 +173,8 @@ def monte_carlo_variation(problem: OptimizationProblem, design: DesignPoint,
         run.raise_if_quarantined(f"{problem.network.name} Monte-Carlo")
         batches = run.values()
     else:
-        batches = [shard_fn(state, 0, samples)]
+        state = _mc_init(problem, design, statistics, seed, engine)
+        batches = [_mc_shard(state, 0, samples)]
 
     energies: List[float] = []
     delays: List[float] = []

@@ -58,10 +58,15 @@ class BatchEngine(ArrayEngine):
 
         All-scalar rows become per-row scalars ``(B, 1)`` (each row
         reproduces the looped scalar-voltage mode); all-per-gate rows
-        (mappings or canonical ``(n,)`` vectors) become ``(B, n)`` in
-        internal order. A single shared scalar/mapping may also be
-        passed pre-broadcast by the caller via ``[value] * B``.
+        (mappings or canonical ``(n,)`` vectors, or one canonical
+        ``(B, n)`` array) become ``(B, n)`` in internal order. A single
+        shared scalar/mapping may also be passed pre-broadcast by the
+        caller via ``[value] * B``.
         """
+        if isinstance(rows, np.ndarray) and rows.ndim == 2:
+            stacked = np.empty(rows.shape)
+            stacked[:, self._canonical] = rows
+            return BatchValue(stacked, per_gate=True)
         if all(isinstance(row, (int, float)) for row in rows):
             values = np.asarray([[float(row)] for row in rows])
             return BatchValue(values, per_gate=False)

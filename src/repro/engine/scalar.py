@@ -19,8 +19,8 @@ class ScalarEngine(Engine):
 
     This engine *is* the ground truth: ``ArrayEngine`` results are
     checked against it to float round-off. It accepts canonical-order
-    width vectors for interchangeability, converting them to the
-    ``{name: width}`` maps the reference modules consume.
+    width and voltage vectors for interchangeability, converting them to
+    the ``{name: value}`` maps the reference modules consume.
     """
 
     name = "scalar"
@@ -40,9 +40,16 @@ class ScalarEngine(Engine):
         value = float(widths)
         return {name: value for name in self.problem.ctx.gates}
 
+    def _voltage(self, value):
+        """A voltage for the reference modules: vectors become maps;
+        scalars and maps pass through unchanged."""
+        return self._as_map(value) if isinstance(value, np.ndarray) \
+            else value
+
     def size_widths(self, budgets: BudgetResult, vdd, vth, *,
                     warm=None) -> EngineSizing:
-        assignment = size_widths(self.problem.ctx, budgets.budgets, vdd, vth,
+        assignment = size_widths(self.problem.ctx, budgets.budgets,
+                                 self._voltage(vdd), self._voltage(vth),
                                  method=self.width_method,
                                  bisect_steps=self.bisect_steps,
                                  repair_ceiling=budgets.effective_cycle_time,
@@ -55,13 +62,14 @@ class ScalarEngine(Engine):
                             materialize=lambda: widths)
 
     def sta(self, vdd, vth, widths) -> float:
-        report = analyze_timing(self.problem.ctx, vdd, vth,
-                                self._as_map(widths))
+        report = analyze_timing(self.problem.ctx, self._voltage(vdd),
+                                self._voltage(vth), self._as_map(widths))
         return report.critical_delay
 
     def total_energy(self, vdd, vth, widths) -> Tuple[float, float]:
-        report = total_energy(self.problem.ctx, vdd, vth,
-                              self._as_map(widths), self.problem.frequency)
+        report = total_energy(self.problem.ctx, self._voltage(vdd),
+                              self._voltage(vth), self._as_map(widths),
+                              self.problem.frequency)
         return report.static, report.dynamic
 
     def widths_vector(self, source) -> np.ndarray:

@@ -27,7 +27,7 @@ from repro.analysis.montecarlo import (
     VariationStatistics,
     monte_carlo_variation,
 )
-from repro.engine import resolve_engine_name
+from repro.engine import make_engine
 from repro.errors import InfeasibleError, OptimizationError
 from repro.optimize.heuristic import HeuristicSettings
 from repro.optimize.problem import OptimizationProblem, OptimizationResult
@@ -50,7 +50,7 @@ class YieldTarget:
     seed: int = 0
     #: Optional :mod:`repro.engine` name for the Monte-Carlo probes
     #: (``"batch"`` evaluates whole sample ranges per kernel call);
-    #: ``None`` keeps the legacy reference-model path.
+    #: ``None`` is the ``"scalar"`` reference engine.
     engine: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -132,9 +132,8 @@ def optimize_for_yield(problem: OptimizationProblem,
                                              samples=target.samples,
                                              seed=verify_seed,
                                              engine=target.engine)
-        batched = (target.engine is not None
-                   and resolve_engine_name(target.engine) == "batch"
-                   and target.samples > 1)
+        batched = (target.samples > 1 and make_engine(
+            problem, target.engine or "scalar").supports_batch)
         details = dict(result.details)
         details["yield_verification"] = {
             "seed": verify_seed,

@@ -1,7 +1,8 @@
 """Variation-aware robust optimization (ROADMAP item 2a).
 
 The statistical-objective subsystem: a counter-seeded common-random-
-number Monte-Carlo estimator (:mod:`~repro.robust.estimator`), an
+number Monte-Carlo estimator (:mod:`~repro.robust.estimator`) over the
+one variation sampler and die loop (:mod:`~repro.robust.sampler`), an
 Evaluator-compatible drop-in objective (:mod:`~repro.robust.objective`)
 that lets every search strategy minimize mean/p95/CVaR energy under a
 timing-yield feasibility constraint, and the optimization/comparison

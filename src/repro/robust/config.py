@@ -12,7 +12,8 @@ and the serve admission path builds it inside
 :meth:`repro.serve.jobs.JobRequest.__post_init__`, so negative sigmas,
 an impossible yield target, or an unknown risk measure raise a labeled
 :class:`~repro.errors.OptimizationError` before any worker sees the
-job.
+job. The sigma, sample-count and seed checks are the ones every
+variation input shares (:func:`repro.robust.sampler.validate_variation`).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.errors import OptimizationError
+from repro.robust.sampler import validate_variation
 
 #: Supported risk measures over the per-design energy distribution.
 RISK_MEASURES: Tuple[str, ...] = ("mean", "p95", "cvar")
@@ -72,16 +74,10 @@ class RobustConfig:
         if not 0.0 < self.yield_target < 1.0:
             raise OptimizationError(
                 f"yield_target must lie in (0, 1), got {self.yield_target}")
-        if self.sigma_within < 0.0 or self.sigma_die < 0.0:
-            raise OptimizationError(
-                f"sigmas must be >= 0, got sigma_within={self.sigma_within}, "
-                f"sigma_die={self.sigma_die}")
-        if self.samples < 2:
-            raise OptimizationError(
-                f"samples must be >= 2, got {self.samples}")
-        if self.cull_samples < 2:
-            raise OptimizationError(
-                f"cull_samples must be >= 2, got {self.cull_samples}")
+        validate_variation(self.sigma_die, self.sigma_within,
+                           samples=(self.samples, 2),
+                           cull_samples=(self.cull_samples, 2),
+                           seed=(self.seed, None))
         if not 0.0 < self.max_failure_fraction <= 1.0:
             raise OptimizationError(
                 f"max_failure_fraction must lie in (0, 1], got "

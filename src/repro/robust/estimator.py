@@ -6,18 +6,19 @@ distribution and timing yield does it see?* Samples are evaluated at
 the fixed design (voltages and widths do not change per die) through
 the :class:`repro.engine.Engine` seam.
 
+Dies come from the one sampler (:mod:`repro.robust.sampler`) and are
+measured by its one die loop, :func:`~repro.robust.sampler.measure_dies`.
 Three properties make the estimator safe on the hot path of a search:
 
-* **Jobs-invariance by construction.** Sample ``index`` draws its Vth
-  offsets from ``random.Random((seed << 32) ^ index)`` — the PR 4
-  counter-seeding pattern — in canonical ``ctx.gates`` order, so the
-  estimate is a pure function of ``(design, config)``: serial runs,
-  sharded rounds, and resumed runs all see byte-identical values.
-  Because the offsets depend only on ``(seed, index)`` and not on the
-  design, every design is scored against the *same* random dies
-  (common random numbers), which makes design-to-design comparisons
-  low-variance.
-* **Fault quarantine.** A sample whose evaluation raises a model error
+* **Jobs-invariance by construction.** Die ``index`` draws its Vth
+  offsets from its own counter-seeded stream, so the estimate is a pure
+  function of ``(design, config)``: serial runs, sharded rounds, and
+  resumed runs all see byte-identical values. Because the offsets
+  depend only on ``(seed, index)`` and not on the design, every design
+  is scored against the *same* random dies (common random numbers),
+  which makes design-to-design comparisons low-variance — and lets one
+  estimator draw each die once and reuse it for every corner it scores.
+* **Fault quarantine.** A die whose evaluation raises a model error
   (:class:`~repro.errors.TimingError`, infeasibility, an injected
   fault) or returns a non-finite value is quarantined and counted,
   never allowed to kill the search; the estimate is labeled degraded.
@@ -39,17 +40,12 @@ running best of the search — which is what keeps it jobs-invariant.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
-from repro.errors import (
-    DeadlineExceeded,
-    FaultInjectedError,
-    InfeasibleError,
-    OptimizationError,
-    TimingError,
-)
+import numpy as np
+
+from repro.errors import DeadlineExceeded
 from repro.obs import trace
 from repro.obs.instrument import (
     ROBUST_CORNERS_CULLED,
@@ -60,20 +56,12 @@ from repro.obs.instrument import (
 )
 from repro.obs.metrics import current_metrics
 from repro.robust.config import CONFIDENCE_Z, TAIL_FRACTION, RobustConfig
+from repro.robust.sampler import VthSampler, measure_dies
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.engine.base import Engine
     from repro.optimize.problem import OptimizationProblem
     from repro.runtime.controller import RunController
-
-#: Perturbed thresholds are clamped here (volts), matching
-#: :mod:`repro.analysis.montecarlo`.
-MIN_VTH = 0.02
-
-#: Errors that quarantine a single sample instead of killing the run.
-SAMPLE_FAULTS = (TimingError, InfeasibleError, OptimizationError,
-                 FaultInjectedError)
-
 
 def wilson_interval(successes: int, trials: int,
                     z: float = CONFIDENCE_Z) -> tuple[float, float]:
@@ -156,9 +144,8 @@ class RobustEstimator:
     """Monte-Carlo risk/yield estimation bound to one (problem, engine).
 
     ``engine`` is any :class:`repro.engine.Engine`; the estimator only
-    uses :meth:`~repro.engine.Engine.measure`, so widths may be the
-    engine-native handle a sizing just produced (no materialization on
-    the hot path).
+    measures through it, so widths may be the engine-native handle a
+    sizing just produced (no materialization on the hot path).
     """
 
     def __init__(self, problem: "OptimizationProblem", config: RobustConfig,
@@ -168,40 +155,22 @@ class RobustEstimator:
         self.engine = engine
         self.gates = problem.ctx.gates
         self.cycle_time = problem.cycle_time
+        self.sampler = VthSampler(self.gates, config.sigma_die,
+                                  config.sigma_within, config.seed)
+        self._offsets = np.empty((0, len(self.gates)))
 
-    def _vth_map(self, vth, index: int) -> Dict[str, float]:
-        """Sample ``index``'s perturbed per-gate thresholds (CRN draw)."""
-        config = self.config
-        rng = random.Random((config.seed << 32) ^ index)
-        die_offset = rng.gauss(0.0, config.sigma_die)
-        as_map = isinstance(vth, Mapping)
-        vth_map: Dict[str, float] = {}
-        for name in self.gates:
-            nominal = vth[name] if as_map else vth
-            offset = die_offset + rng.gauss(0.0, config.sigma_within)
-            vth_map[name] = max(nominal + offset, MIN_VTH)
-        return vth_map
+    def _thresholds(self, vth, start: int, stop: int) -> np.ndarray:
+        """Dies ``[start, stop)``'s perturbed thresholds at nominal ``vth``.
 
-    def _measure_stage(self, vdd, vth, widths, start: int,
-                       stop: int) -> Optional[List[tuple]]:
-        """Batched measurements for dies ``[start, stop)``, or None.
-
-        One :meth:`~repro.engine.Engine.measure_batch` call evaluates
-        the whole stage (e.g. all 40 dies of a full schedule) in a
-        single kernel invocation — each row bit-identical to the looped
-        ``engine.measure`` call, with the same CRN Vth maps in the same
-        index order. A model fault inside the batched call returns
-        None: the caller falls back to the per-sample loop, which
-        quarantines precisely the faulty die(s) so the estimate's
-        bookkeeping matches the unbatched run exactly.
+        The offsets do not depend on the corner, so each die's are
+        drawn once and kept for every corner this estimator scores: at
+        most ``config.samples`` rows, in draw order.
         """
-        rows = [self._vth_map(vth, index) for index in range(start, stop)]
-        try:
-            measurements = self.engine.measure_batch(
-                [vdd] * len(rows), rows, [widths] * len(rows))
-        except SAMPLE_FAULTS:
-            return None
-        return [(m.energy, m.critical_delay) for m in measurements]
+        drawn = len(self._offsets)
+        if stop > drawn:
+            self._offsets = np.concatenate(
+                [self._offsets, self.sampler.offsets(drawn, stop)])
+        return self.sampler.thresholds(vth, self._offsets[start:stop])
 
     def estimate(self, vdd, vth, widths, *,
                  controller: "Optional[RunController]" = None,
@@ -217,19 +186,18 @@ class RobustEstimator:
         deadline_hit = False
         metrics = current_metrics()
         tracer = trace.current_tracer()
-        # Batch the two schedule stages ([0, cull) and [cull, samples))
-        # only on the deadline-free hot path: a deadline could stop the
-        # looped schedule mid-stage, which a one-shot batched stage
-        # cannot reproduce.
-        batched = (controller is None and config.samples > 1
-                   and getattr(self.engine, "supports_batch", False))
-        staged: Dict[int, tuple] = {}
 
         with tracer.span("robust_estimate", measure=config.measure,
                          samples=config.samples) as span:
             index = 0
-            while index < config.samples:
+            while index < config.samples and not culled:
+                # Without a deadline each schedule stage ([0, cull) and
+                # [cull, samples)) is one block of dies; a deadline is
+                # checked before every die, so its blocks are single
+                # dies and a partial estimate stops where the loop did.
+                stop = cull_at if index < cull_at else config.samples
                 if controller is not None:
+                    stop = index + 1
                     try:
                         controller.check(
                             f"{self.problem.network.name} robust estimate")
@@ -241,38 +209,16 @@ class RobustEstimator:
                             deadline_hit = True
                             break
                         raise
-                if batched and index not in staged:
-                    stop = cull_at if index < cull_at else config.samples
-                    stage = self._measure_stage(vdd, vth, widths, index, stop)
-                    if stage is None:
-                        batched = False
-                    else:
-                        for offset, pair in enumerate(stage):
-                            staged[index + offset] = pair
-                try:
-                    if index in staged:
-                        energy, delay = staged[index]
-                    else:
-                        measurement = self.engine.measure(
-                            vdd, self._vth_map(vth, index), widths)
-                        energy = measurement.energy
-                        delay = measurement.critical_delay
-                    if not (math.isfinite(energy) and math.isfinite(delay)):
-                        raise OptimizationError(
-                            f"non-finite sample: energy={energy!r}, "
-                            f"delay={delay!r}")
-                except SAMPLE_FAULTS:
-                    quarantined += 1
-                else:
-                    energies.append(energy)
-                    if delay <= limit:
-                        met += 1
-                index += 1
+                dies = measure_dies(self.engine, vdd,
+                                    self._thresholds(vth, index, stop), widths)
+                clean = [sample for sample in dies if sample is not None]
+                quarantined += len(dies) - len(clean)
+                energies.extend(energy for energy, _ in clean)
+                met += sum(1 for _, delay in clean if delay <= limit)
+                index = stop
                 if index == cull_at and cull_at < config.samples:
                     _, high = wilson_interval(met, len(energies))
-                    if high < config.yield_target:
-                        culled = True
-                        break
+                    culled = high < config.yield_target
             metrics.incr(ROBUST_SAMPLES, index)
             metrics.incr(ROBUST_SAMPLES_QUARANTINED, quarantined)
             if culled:

@@ -12,7 +12,7 @@ numpy's own ``exp``/``expm1``/``log1p``/``power`` differ from Python's
 percent of inputs, so the transcendental part cannot be a numpy
 expression. It is a ~25-line C loop (:data:`C_SOURCE`) that mirrors the
 scalar model operation for operation and calls the same libm. The loop
-is compiled with ``gcc`` on first use into a cache directory
+is compiled with ``gcc`` (else ``cc``) on first use into a cache directory
 (``$XDG_CACHE_HOME/repro`` or ``~/.cache/repro``; the file name carries
 the sha256 of the source and flags) and loaded with ``ctypes``. Each
 cached library ends in the sha256 of its own bytes; a file that fails
@@ -96,8 +96,12 @@ def cache_dir() -> Path:
     return Path(root) / "repro"
 
 
+#: C compilers tried in order; the fallback status names them all.
+COMPILERS = ("gcc", "cc")
+
+
 def _compiler() -> Optional[str]:
-    return shutil.which("gcc")
+    return next(filter(None, map(shutil.which, COMPILERS)), None)
 
 
 def _build(cc: str, target: Path) -> None:
@@ -158,7 +162,8 @@ def _load(root: Path) -> Tuple[Optional[_Helper], str]:
     try:
         if not _intact(path):
             if cc is None:
-                return None, "fallback: no C compiler (gcc) on PATH"
+                return None, (f"fallback: no C compiler "
+                              f"({' or '.join(COMPILERS)}) on PATH")
             root.mkdir(parents=True, exist_ok=True)
             _build(cc, path)
         function, where = _open(path), str(path)

@@ -331,7 +331,7 @@ def test_montecarlo_engine_path_matches_fast_loop():
     assert batched.energies == looped.energies
     assert batched.delays == looped.delays
     assert batched.timing_yield == looped.timing_yield
-    # ... and the legacy reference path agrees to round-off.
+    # ... and the default (scalar-engine) path agrees to round-off.
     legacy = monte_carlo_variation(problem, design, samples=16, seed=3)
     assert batched.timing_yield == legacy.timing_yield
     for lhs, rhs in zip(batched.energies, legacy.energies):

@@ -169,3 +169,30 @@ def test_canonical_vector_voltages_agree():
     assert rhs.critical_delay == pytest.approx(lhs.critical_delay, rel=REL)
     assert rhs.static == pytest.approx(lhs.static, rel=REL)
     assert rhs.dynamic == pytest.approx(lhs.dynamic, rel=REL)
+
+
+def test_scalar_engine_accepts_canonical_vector_voltages():
+    """The scalar engine maps vdd/vth vectors the way it maps widths:
+    bitwise the mapping result, and the array engine's to round-off."""
+    import numpy as np
+
+    problem = build_problem("s298", 0.1)
+    scalar = make_engine(problem, "scalar")
+    fast = make_engine(problem, "fast")
+    gates = problem.ctx.gates
+    vdd_vec = np.linspace(0.9, 1.1, len(gates))
+    vth_vec = np.linspace(0.25, 0.35, len(gates))
+    widths = {name: 3.0 for name in gates}
+    vdd_map = {name: float(v) for name, v in zip(gates, vdd_vec)}
+    vth_map = {name: float(v) for name, v in zip(gates, vth_vec)}
+    for vdd, vdd_mapped in ((1.0, 1.0), (vdd_vec, vdd_map)):
+        vector = scalar.measure(vdd, vth_vec, widths)
+        mapped = scalar.measure(vdd_mapped, vth_map, widths)
+        assert vector == mapped
+        reference = fast.measure(vdd, vth_vec, widths)
+        for lhs, rhs in zip(vector, reference):
+            assert rhs == pytest.approx(lhs, rel=REL)
+    budgets = problem.budgets()
+    sized = scalar.size_widths(budgets, 1.0, vth_vec)
+    assert sized.widths_map() == scalar.size_widths(
+        budgets, 1.0, vth_map).widths_map()

@@ -93,3 +93,29 @@ def test_verify_seed_equal_to_selection_seed_is_rejected(s27_problem):
     with pytest.raises(OptimizationError, match="verify_seed"):
         optimize_for_yield(s27_problem, target=target, settings=FAST,
                            verify_seed=target.seed)
+
+
+@pytest.mark.parametrize("engine", [None, "auto", "scalar", "fast",
+                                    "batch", "incremental"])
+def test_batched_flag_follows_the_engine_capability(s27_problem, engine):
+    # "batched" reports the engine's supports_batch capability, so it is
+    # true exactly when the Monte-Carlo dies went through measure_batch.
+    # The search itself is pinned to the unbatched array engine.
+    import dataclasses
+
+    from repro.obs.instrument import BATCH_CALLS
+    from repro.obs.metrics import MetricsRegistry, use_metrics
+
+    target = YieldTarget(timing_yield=0.99,
+                         statistics=VariationStatistics(sigma_die=0.0,
+                                                        sigma_within=0.0),
+                         engine=engine, **FAST_TARGET_KWARGS)
+    registry = MetricsRegistry()
+    with use_metrics(registry):
+        result = optimize_for_yield(
+            s27_problem, target=target,
+            settings=dataclasses.replace(FAST, engine="fast"))
+    details = result.result.details["yield_verification"]
+    assert details["batched"] == (registry.counter(BATCH_CALLS) > 0)
+    if engine != "auto":
+        assert details["batched"] == (engine == "batch")

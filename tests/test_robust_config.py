@@ -7,9 +7,12 @@ search (or worker) runs.
 """
 
 import dataclasses
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.analysis.montecarlo import VariationStatistics
 from repro.errors import OptimizationError
 from repro.robust import RobustConfig
 from repro.serve.jobs import JobRequest, robust_config_for, settings_for
@@ -74,6 +77,70 @@ class TestRobustConfigValidation:
             other = dataclasses.replace(base, **change)
             assert other.resolved() != base.resolved(), change
 
+
+
+class TestSharedVariationValidation:
+    """RobustConfig and VariationStatistics share one variation check."""
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf,
+                                       -1e-9])
+    @pytest.mark.parametrize("field", ["sigma_die", "sigma_within"])
+    def test_bad_sigmas_rejected_by_both(self, field, sigma):
+        with pytest.raises(OptimizationError, match=field):
+            RobustConfig(**{field: sigma})
+        with pytest.raises(OptimizationError, match=field):
+            VariationStatistics(**{field: sigma})
+
+    @pytest.mark.parametrize("field,value", [
+        ("samples", 2.5), ("samples", 40.0), ("cull_samples", 7.5),
+        ("seed", 1.5), ("seed", "3"), ("seed", True), ("samples", None)])
+    def test_non_integer_counts_rejected(self, field, value):
+        with pytest.raises(OptimizationError, match=f"{field} must be"):
+            RobustConfig(**{field: value})
+
+    def test_monte_carlo_checks_its_counts_the_same_way(self, s27_problem):
+        from repro.analysis.montecarlo import monte_carlo_variation
+        from repro.optimize.problem import DesignPoint
+
+        design = DesignPoint(vdd=2.0, vth=0.3, widths={
+            name: 4.0 for name in s27_problem.ctx.gates})
+        for kwargs, label in (({"seed": 1.5}, "seed"),
+                              ({"samples": 2.5}, "samples"),
+                              ({"samples": 0}, "samples")):
+            with pytest.raises(OptimizationError, match=label):
+                monte_carlo_variation(s27_problem, design, **kwargs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sigma_die=st.floats(min_value=0.0, max_value=1.0),
+           sigma_within=st.floats(min_value=0.0, max_value=1.0),
+           samples=st.integers(min_value=2, max_value=4096),
+           cull_samples=st.integers(min_value=2, max_value=4096),
+           seed=st.integers(min_value=-2 ** 40, max_value=2 ** 40))
+    def test_valid_configs_resolve_unchanged(self, sigma_die, sigma_within,
+                                             samples, cull_samples, seed):
+        config = RobustConfig(sigma_die=sigma_die, sigma_within=sigma_within,
+                              samples=samples, cull_samples=cull_samples,
+                              seed=seed)
+        assert config.resolved() == {
+            "measure": "p95", "yield_target": 0.95,
+            "sigma_within": sigma_within, "sigma_die": sigma_die,
+            "samples": samples, "cull_samples": min(cull_samples, samples),
+            "seed": seed, "max_failure_fraction": 0.5,
+            "yield_margin_z": 1.0}
+        VariationStatistics(sigma_die=sigma_die, sigma_within=sigma_within)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sigma=st.one_of(st.floats(max_value=-1e-300),
+                           st.sampled_from([math.nan, math.inf])),
+           seed=st.floats(allow_nan=False, allow_infinity=False).filter(
+               lambda value: value != int(value)))
+    def test_invalid_inputs_raise_labeled_errors(self, sigma, seed):
+        with pytest.raises(OptimizationError, match="sigma_die"):
+            RobustConfig(sigma_die=sigma)
+        with pytest.raises(OptimizationError, match="sigma_within"):
+            VariationStatistics(sigma_within=sigma)
+        with pytest.raises(OptimizationError, match="seed"):
+            RobustConfig(seed=seed)
 
 class TestServeAdmission:
     """Statistical inputs are validated when the request is *built* —

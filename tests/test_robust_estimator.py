@@ -9,6 +9,7 @@ fault-tolerance contract (quarantine + labeling, never a crash).
 
 import dataclasses
 import math
+import random
 
 import pytest
 
@@ -16,8 +17,10 @@ from repro.engine import make_engine, use_engine
 from repro.errors import DeadlineExceeded, RunCancelled
 from repro.optimize.heuristic import optimize_joint
 from repro.robust import RobustConfig
-from repro.robust.estimator import (MIN_VTH, RobustEstimator,
-                                    estimate_design, wilson_interval)
+from repro.robust import sampler as sampler_module
+from repro.robust.estimator import (RobustEstimator, estimate_design,
+                                    wilson_interval)
+from repro.robust.sampler import MIN_VTH
 from repro.runtime.controller import RunController
 from repro.runtime.faults import FaultInjector, FaultSpec
 
@@ -62,23 +65,52 @@ class TestWilsonInterval:
         assert high_large - 0.95 < high_small - 0.95
 
 
+def _die(sampler, vth, index):
+    """Die ``index``'s perturbed thresholds at nominal ``vth``."""
+    return sampler.thresholds(vth, sampler.offsets(index, index + 1))[0]
+
+
 class TestSampleStream:
     def test_vth_map_is_deterministic(self, estimator):
-        assert estimator._vth_map(0.3, 4) == estimator._vth_map(0.3, 4)
-        assert estimator._vth_map(0.3, 4) != estimator._vth_map(0.3, 5)
+        sampler = estimator.sampler
+        assert (_die(sampler, 0.3, 4) == _die(sampler, 0.3, 4)).all()
+        assert (_die(sampler, 0.3, 4) != _die(sampler, 0.3, 5)).any()
 
     def test_offsets_are_common_across_designs(self, estimator):
         # Common random numbers: the drawn offsets depend only on
         # (seed, index), never on the design being scored.
-        low = estimator._vth_map(0.3, 7)
-        high = estimator._vth_map(0.5, 7)
-        for gate in estimator.gates:
+        low = _die(estimator.sampler, 0.3, 7)
+        high = _die(estimator.sampler, 0.5, 7)
+        for gate in range(len(estimator.gates)):
             assert low[gate] - 0.3 == pytest.approx(high[gate] - 0.5,
                                                     abs=1e-15)
 
     def test_thresholds_are_clamped(self, estimator):
-        clamped = estimator._vth_map(-5.0, 0)
-        assert all(value == MIN_VTH for value in clamped.values())
+        clamped = _die(estimator.sampler, -5.0, 0)
+        assert all(value == MIN_VTH for value in clamped)
+
+    def test_each_die_is_drawn_once_per_estimator(self, s27_problem,
+                                                  s27_design, monkeypatch):
+        # The offsets do not depend on the corner, so an estimator
+        # scoring two corners builds each die's RNG a single time.
+        seeds = []
+
+        class CountingRandom(random.Random):
+            def __init__(self, seed):
+                seeds.append(seed)
+                super().__init__(seed)
+
+        monkeypatch.setattr(sampler_module, "Random", CountingRandom)
+        no_cull = dataclasses.replace(CONFIG, cull_samples=CONFIG.samples)
+        estimator = RobustEstimator(s27_problem, no_cull,
+                                    make_engine(s27_problem, "fast"))
+        widths = s27_design.widths
+        first = estimator.estimate(s27_design.vdd, s27_design.vth, widths)
+        second = estimator.estimate(s27_design.vdd, s27_design.vth + 0.01,
+                                    widths)
+        assert first.samples_used == second.samples_used == no_cull.samples
+        assert seeds == [(no_cull.seed << 32) ^ index
+                         for index in range(no_cull.samples)]
 
     def test_estimate_is_a_pure_function_of_design_and_config(
             self, s27_problem, s27_design):

@@ -293,8 +293,32 @@ def test_no_compiler_and_empty_cache_falls_back(tmp_path, monkeypatch):
     monkeypatch.setattr(array_model, "_compiler", lambda: None)
     function, status = array_model._load(tmp_path)
     assert function is None
-    assert status == "fallback: no C compiler (gcc) on PATH"
+    assert status == "fallback: no C compiler (gcc or cc) on PATH"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("found,expected", [
+    ({"gcc": "/bin/gcc", "cc": "/bin/cc"}, "/bin/gcc"),
+    ({"cc": "/bin/cc"}, "/bin/cc"),
+    ({}, None)])
+def test_compiler_tries_gcc_then_cc(monkeypatch, found, expected):
+    asked = []
+
+    def which(name):
+        asked.append(name)
+        return found.get(name)
+
+    monkeypatch.setattr(array_model.shutil, "which", which)
+    assert array_model._compiler() == expected
+    assert asked == ["gcc", "cc"][:1 if "gcc" in found else 2]
+
+
+def test_missing_compilers_are_named_in_the_status(tmp_path, monkeypatch):
+    monkeypatch.setattr(array_model.shutil, "which", lambda name: None)
+    function, status = array_model._load(tmp_path)
+    assert function is None
+    assert "gcc" in status and "cc)" in status
+    assert status.startswith("fallback: ")
 
 
 def test_cache_dir_follows_xdg(monkeypatch, tmp_path):

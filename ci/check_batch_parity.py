@@ -1,30 +1,35 @@
-"""CI gate: the batched engine is a pure execution detail.
+"""CI gate: batched evaluation is a pure execution detail.
 
 Usage::
 
     python ci/check_batch_parity.py [--jobs 4]
 
-Five assertions on s27, comparing ``engine="batch"`` against
-``engine="fast"`` (the looped array engine the batch axis vectorizes):
+The array engine (``engine="fast"``, also named ``"batch"``) evaluates
+grid rounds, robust dies and Monte-Carlo samples in batches. Five
+assertions on s27 compare its batched runs, under both names, against
+the *looped* reference: the same engine with ``supports_batch`` patched
+to False, so every row goes through the single-design calls.
 
 1. **Grid identity** — the grid search lands on the identical design
    (point, widths, energy, evaluation count), and the checkpoint files
-   the two runs write are **byte-identical** (the batch engine
-   fingerprints as ``"fast"``, so the files are interchangeable).
+   the runs write are **byte-identical** (``"batch"`` fingerprints as
+   ``"fast"``, so the files are interchangeable).
 2. **Jobs invariance** — the same holds at ``--jobs N`` on the worker
-   pool, for both engines, against the serial reference.
+   pool, batched and looped, against the serial looped reference.
 3. **Serve cache keys** — ``request_fingerprint`` digests (and the
-   checkpoint fingerprints they extend) are equal for the two engines:
-   a cached fast result satisfies a batch request and vice versa.
+   checkpoint fingerprints they extend) are equal for ``"fast"`` and
+   ``"batch"`` requests: a cached result satisfies either name.
 4. **Robust + Monte-Carlo identity** — a robust (yield-constrained)
-   search and a Monte-Carlo sweep produce identical outcomes through
-   the batched die/sample stages.
+   search and a Monte-Carlo sweep produce identical outcomes (and
+   robust checkpoint bytes) through the batched die/sample stages.
 5. **Benchmark floors** — ``BENCH_batch.json`` is present, well formed,
    and (when it was measured on >= 2 cores) meets the speedup floors it
    declares.
 
-The gate also proves the batched path actually ran (``engine.batch.*``
-counters fired) — parity of a fallback loop would prove nothing.
+The gate also proves that the batched path actually ran
+(``engine.batch.calls`` > 0 on every batched run) and that the
+reference did not (``engine.batch.calls`` == 0) — parity of a loop with
+itself would prove nothing.
 
 Exits nonzero with a one-line diagnosis on any divergence.
 """
@@ -32,6 +37,7 @@ Exits nonzero with a one-line diagnosis on any divergence.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -46,6 +52,10 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCH_PATH = REPO_ROOT / "BENCH_batch.json"
 
 REFERENCE = dict(grid_vdd=13, grid_vth=11, refine_iters=6, refine_rounds=1)
+
+#: (label, engine name, batched): the looped reference first.
+LEGS = (("looped fast", "fast", False), ("batched fast", "fast", True),
+        ("batched batch", "batch", True))
 
 
 def fail(message: str) -> NoReturn:
@@ -68,6 +78,7 @@ def main() -> int:
 
     from repro.activity.profiles import uniform_profile
     from repro.analysis.montecarlo import monte_carlo_variation
+    from repro.engine.array import ArrayEngine
     from repro.netlist.benchmarks import benchmark_circuit
     from repro.obs.instrument import BATCH_CALLS
     from repro.obs.metrics import MetricsRegistry, use_metrics
@@ -87,43 +98,72 @@ def main() -> int:
     problem = OptimizationProblem.build(Technology.default(), network,
                                         profile, frequency=300 * MHZ)
 
-    def run(engine, *, checkpoint=None, registry=None, **overrides):
+    @contextlib.contextmanager
+    def batching(enabled):
+        """Batched runs, or the looped reference: the array engine
+        without its batched path."""
+        ArrayEngine.supports_batch = enabled
+        try:
+            yield
+        finally:
+            ArrayEngine.supports_batch = True
+
+    def run(engine, *, checkpoint=None, batched=True, **overrides):
+        """One search; asserts whether the batched kernels ran."""
         settings = HeuristicSettings(engine=engine, **REFERENCE, **overrides)
         if checkpoint is not None:
             settings = dataclasses.replace(settings, controller=RunController(
                 checkpoint_path=checkpoint))
-        with use_metrics(registry or MetricsRegistry()):
-            return optimize_joint(problem, settings=settings)
+        registry = MetricsRegistry()
+        with use_metrics(registry), batching(batched):
+            result = optimize_joint(problem, settings=settings)
+        calls = registry.counter(BATCH_CALLS)
+        if batched and calls < 1:
+            fail(f"the batched {engine} run never entered a batched kernel "
+                 f"({BATCH_CALLS} == 0); parity of the fallback loop "
+                 "proves nothing")
+        if not batched and calls:
+            fail(f"the looped reference batched ({BATCH_CALLS} == "
+                 f"{calls}); it must run the single-design calls")
+        return result
 
-    print("[1/5] grid identity and checkpoint bytes, fast vs batch")
-    batch_metrics = MetricsRegistry()
+    def runs(tmp, **overrides):
+        """The looped reference and the batched runs under both names,
+        each with its checkpoint bytes."""
+        results = {}
+        for label, engine, batched in LEGS:
+            path = Path(tmp) / f"{label.replace(' ', '-')}.ckpt"
+            result = run(engine, checkpoint=path, batched=batched,
+                         **overrides)
+            results[label] = (result, path.read_bytes())
+        return results
+
+    print("[1/5] grid identity and checkpoint bytes, batched vs looped")
     with tempfile.TemporaryDirectory() as tmp:
-        fast_ckpt = Path(tmp) / "fast.ckpt"
-        batch_ckpt = Path(tmp) / "batch.ckpt"
-        fast = run("fast", checkpoint=fast_ckpt)
-        batch = run("batch", checkpoint=batch_ckpt, registry=batch_metrics)
-        if not _same(fast, batch):
-            fail(f"grid diverged: batch {batch.design.vdd}/{batch.design.vth}"
-                 f" ({batch.evaluations} evals) vs fast "
-                 f"{fast.design.vdd}/{fast.design.vth} "
-                 f"({fast.evaluations} evals)")
-        if fast_ckpt.read_bytes() != batch_ckpt.read_bytes():
-            fail("checkpoint files differ between fast and batch — the "
-                 "engines are not interchangeable on resume")
-    if batch_metrics.counter(BATCH_CALLS) < 1:
-        fail("the batch run never entered a batched kernel "
-             f"({BATCH_CALLS} == 0); parity of the fallback loop proves "
-             "nothing")
+        grid = runs(tmp)
+    reference, reference_bytes = grid.pop("looped fast")
+    for label, (result, ckpt_bytes) in grid.items():
+        if not _same(reference, result):
+            fail(f"grid diverged: {label} {result.design.vdd}/"
+                 f"{result.design.vth} ({result.evaluations} evals) vs "
+                 f"looped {reference.design.vdd}/{reference.design.vth} "
+                 f"({reference.evaluations} evals)")
+        if ckpt_bytes != reference_bytes:
+            fail(f"checkpoint files differ between {label} and looped "
+                 "fast — the runs are not interchangeable on resume")
 
-    print(f"[2/5] jobs invariance at --jobs {args.jobs}, both engines")
+    print(f"[2/5] jobs invariance at --jobs {args.jobs}, batched and "
+          "looped")
     if not multiprocessing_available():
         fail("multiprocessing unavailable; the parity gate cannot "
              "exercise the pool")
     plan = ParallelPlan(jobs=args.jobs, heartbeat_s=0.05)
-    for engine in ("fast", "batch"):
-        pooled = run(engine, parallel=plan)
-        if not _same(fast, pooled):
-            fail(f"{engine} diverged between serial and --jobs "
+    for label, engine, batched in LEGS:
+        with batching(batched):
+            pooled = optimize_joint(problem, settings=HeuristicSettings(
+                engine=engine, parallel=plan, **REFERENCE))
+        if not _same(reference, pooled):
+            fail(f"{label} diverged between serial and --jobs "
                  f"{args.jobs}")
 
     print("[3/5] serve cache keys equal for fast and batch requests")
@@ -145,22 +185,32 @@ def main() -> int:
     robust = RobustConfig(samples=10, cull_samples=4, seed=3,
                           yield_target=0.80)
     with tempfile.TemporaryDirectory() as tmp:
-        fast_ckpt = Path(tmp) / "fast.ckpt"
-        batch_ckpt = Path(tmp) / "batch.ckpt"
-        fast_r = run("fast", robust=robust, checkpoint=fast_ckpt)
-        batch_r = run("batch", robust=robust, checkpoint=batch_ckpt)
-        if not _same(fast_r, batch_r):
-            fail("robust search diverged between fast and batch")
-        if fast_ckpt.read_bytes() != batch_ckpt.read_bytes():
-            fail("robust checkpoints differ — per-corner robust stats "
-                 "are not batch-invariant")
-    fast_mc = monte_carlo_variation(problem, fast.design, samples=24,
-                                    seed=0, engine="fast")
-    batch_mc = monte_carlo_variation(problem, fast.design, samples=24,
-                                     seed=0, engine="batch")
-    if fast_mc != batch_mc:
-        fail(f"monte-carlo diverged:\n  fast:  {fast_mc}\n"
-             f"  batch: {batch_mc}")
+        robust_runs = runs(tmp, robust=robust)
+    robust_ref, robust_bytes = robust_runs.pop("looped fast")
+    for label, (result, ckpt_bytes) in robust_runs.items():
+        if not _same(robust_ref, result):
+            fail(f"robust search diverged between {label} and looped fast")
+        if ckpt_bytes != robust_bytes:
+            fail(f"robust checkpoints differ between {label} and looped "
+                 "fast — per-corner robust stats are not batch-invariant")
+
+    def monte_carlo(engine, batched):
+        registry = MetricsRegistry()
+        with use_metrics(registry), batching(batched):
+            outcome = monte_carlo_variation(problem, reference.design,
+                                            samples=24, seed=0,
+                                            engine=engine)
+        if bool(registry.counter(BATCH_CALLS)) != batched:
+            fail(f"monte-carlo on {engine} (batched={batched}) booked "
+                 f"{registry.counter(BATCH_CALLS)} batched calls")
+        return outcome
+
+    looped_mc = monte_carlo("fast", False)
+    for engine in ("fast", "batch"):
+        batched_mc = monte_carlo(engine, True)
+        if batched_mc != looped_mc:
+            fail(f"monte-carlo diverged:\n  looped fast:  {looped_mc}\n"
+                 f"  batched {engine}: {batched_mc}")
 
     print("[5/5] BENCH_batch.json floors")
     if not BENCH_PATH.exists():
@@ -183,7 +233,7 @@ def main() -> int:
              f"single-core host (grid {grid_x:.2f}x, robust "
              f"{robust_x:.2f}x)")
 
-    print(f"batch parity holds: identical grid/robust/MC results, "
+    print(f"batch parity holds: batched == looped grid/robust/MC results, "
           f"byte-identical checkpoints, equal cache keys, "
           f"grid {grid_x:.2f}x / robust {robust_x:.2f}x "
           f"(floors {'enforced' if bench['cores'] >= 2 else 'waived on 1 core'})")

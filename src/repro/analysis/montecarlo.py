@@ -143,7 +143,7 @@ def monte_carlo_variation(problem: OptimizationProblem, design: DesignPoint,
     Samples are measured through the named :mod:`repro.engine` seam;
     ``None`` means ``"scalar"`` (the reference models, never ``"auto"``,
     so the outcome does not follow ``REPRO_ENGINE``). With a batching
-    engine such as ``"batch"`` a whole shard of dies is one vectorized
+    engine such as ``"fast"`` a whole shard of dies is one vectorized
     kernel invocation; the draws are identical either way.
     """
     statistics = statistics or VariationStatistics()

@@ -1,4 +1,4 @@
-"""The evaluation-engine seam: one protocol, two implementations.
+"""The evaluation-engine seam: one protocol, three implementations.
 
 Procedure 2's inner loop — budgets → minimum-width sizing → STA → energy
 (§4.3, eqs. A1–A3) — is what every optimizer in this repository spends
@@ -10,14 +10,16 @@ evaluate it:
 * :class:`~repro.engine.array.ArrayEngine` runs the vectorized
   :mod:`repro.fastpath` kernels, including per-gate Vdd/Vth vectors and
   in-engine budget repair, so multi-Vth / multi-Vdd searches and the
-  annealer stay vectorized with **no scalar fallback**,
+  annealer stay vectorized with **no scalar fallback**; it also
+  evaluates design batches natively (``measure_batch`` /
+  ``evaluate_batch``, each row ``==`` to the looped call),
 * :class:`~repro.engine.incremental.IncrementalEngine` wraps the array
   engine and adds a stateful delta-evaluation API
   (``begin``/``apply_move``/``apply_voltage``) whose results are
   bit-identical to full evaluation — the annealer's per-move fastpath.
 
-**Parity contract.** For any (budgets, Vdd, Vth) point the two engines
-agree on the feasibility verdict and, on feasible points, on energies
+**Parity contract.** For any (budgets, Vdd, Vth) point the scalar and array
+engines agree on the feasibility verdict and, on feasible points, on energies
 and critical delays to float round-off (relative ~1e-9; the engines sum
 identical terms in different associations). ``tests/test_fastpath.py``
 and ``tests/test_engine_parity.py`` enforce this on every benchmark
@@ -25,7 +27,7 @@ circuit and on randomized generator circuits, including corners that
 exercise budget repair.
 
 **Selection.** ``"scalar"``, ``"fast"`` and ``"incremental"`` pick an
-engine explicitly;
+engine explicitly (``"batch"`` is an alias of ``"fast"``);
 ``"auto"`` (the default everywhere) resolves via the ambient
 :func:`use_engine` override, then the ``REPRO_ENGINE`` environment
 variable, then ``"scalar"``. Checkpoint fingerprints record the
@@ -72,7 +74,7 @@ from repro.timing.budgeting import BudgetResult
 if TYPE_CHECKING:  # annotation-only: breaks the engine <-> optimize cycle
     from repro.optimize.problem import OptimizationProblem
 
-#: Concrete engine implementations.
+#: Concrete engine names (``"batch"`` is an alias of ``"fast"``).
 ENGINE_NAMES: Tuple[str, ...] = ("scalar", "fast", "incremental", "batch")
 #: Accepted ``engine=`` settings values (``"auto"`` defers resolution).
 ENGINE_CHOICES: Tuple[str, ...] = ("auto",) + ENGINE_NAMES
@@ -129,10 +131,10 @@ def resolve_engine_name(requested: str = "auto") -> str:
 def fingerprint_engine_name(name: str) -> str:
     """The engine name as recorded in checkpoint / serve fingerprints.
 
-    The batch engine is the array engine with a design axis — bit-
-    identical per row, batching a pure execution detail — so it
-    fingerprints as ``"fast"``: checkpoints, resumes and serve cache
-    keys are interchangeable between the two (gated by
+    ``"batch"`` names the same array engine as ``"fast"`` — batching is
+    a pure execution detail, bit-identical per row — so it fingerprints
+    as ``"fast"``: checkpoints, resumes and serve cache keys are
+    interchangeable between the two names (gated by
     ``ci/check_batch_parity.py``). Every other engine fingerprints as
     itself.
     """
@@ -276,7 +278,7 @@ class Engine(abc.ABC):
                                 dynamic=dynamic, feasible=True,
                                 sizing=sizing)
 
-    # -- batched API (row-at-a-time fallback; see BatchEngine) ---------------
+    # -- batched API (row-at-a-time fallback; see ArrayEngine) ---------------
 
     def measure_batch(self, vdd_rows, vth_rows,
                       widths_rows) -> "list[EngineMeasurement]":
@@ -351,19 +353,16 @@ class Evaluator:
 
         A pure execution detail: the per-call counters, warm-start
         bookkeeping and returned evaluations are exactly those of the
-        unprefetched loop (the batch engine is bit-identical per row).
+        unprefetched loop (batched rows are bit-identical to the loop).
         No-ops (returns 0) when the engine lacks ``supports_batch``,
         when warm starts are active (they chain sizings call to call),
         or when fewer than two new corners remain.
         """
         if not self.engine.supports_batch or self.warm_starts:
             return 0
-        fresh = []
-        for corner in corners:
-            vdd, vth = float(corner[0]), float(corner[1])
-            if (vdd, vth) not in self._prefetched \
-                    and (vdd, vth) not in {(c[0], c[1]) for c in fresh}:
-                fresh.append((vdd, vth))
+        fresh = [corner for corner in dict.fromkeys(
+            (float(corner[0]), float(corner[1])) for corner in corners)
+            if corner not in self._prefetched]
         if len(fresh) < 2:
             return 0
         delay_rows = [vth if self.delay_vth_bias is None

@@ -94,8 +94,10 @@ class HeuristicSettings:
     #: Width solver: "closed_form" (exact) or "bisect" (paper-faithful).
     width_method: str = "closed_form"
     #: Evaluation engine: "scalar" (reference), "fast" (vectorized
-    #: NumPy, budget repair included — equivalent to float round-off),
-    #: or "auto" (honor :func:`repro.engine.use_engine` / the
+    #: NumPy, budget repair included — equivalent to float round-off;
+    #: grid rounds are evaluated as one batch, and "batch" is an alias),
+    #: "incremental" (fast plus delta moves, for the annealer), or
+    #: "auto" (honor :func:`repro.engine.use_engine` / the
     #: ``REPRO_ENGINE`` environment variable, defaulting to "scalar").
     engine: str = "auto"
     #: Grid strategy: skip cells whose admissible closed-form lower
@@ -145,7 +147,7 @@ class HeuristicSettings:
         if self.strategy not in STRATEGY_CHOICES + ("paper",):
             raise OptimizationError(f"unknown strategy {self.strategy!r}")
         for name in ("search_budget", "m_steps", "grid_vdd", "grid_vth",
-                     "prune_probes"):
+                     "refine_iters", "refine_rounds", "prune_probes"):
             value = getattr(self, name)
             if value is None and name == "search_budget":
                 continue
@@ -160,6 +162,10 @@ class HeuristicSettings:
             raise OptimizationError(f"m_steps must be >= 2, got {self.m_steps}")
         if self.grid_vdd < 2 or self.grid_vth < 2:
             raise OptimizationError("grid must be at least 2x2")
+        if min(self.refine_iters, self.refine_rounds) < 0:  # 0 = skip
+            raise OptimizationError(
+                f"refine_iters and refine_rounds must be >= 0, got "
+                f"{self.refine_iters} and {self.refine_rounds}")
         if self.engine not in ENGINE_CHOICES:
             raise OptimizationError(f"unknown engine {self.engine!r}")
         if self.prune_probes < 1:
@@ -425,9 +431,9 @@ def _search_fingerprint(problem: OptimizationProblem,
         "refine_iters": settings.refine_iters,
         "refine_rounds": settings.refine_rounds,
         "width_method": settings.width_method,
-        # Canonicalized: the batch engine is bit-identical to "fast"
-        # per corner, so their checkpoints (and serve cache entries,
-        # which reuse this fingerprint) are interchangeable.
+        # Canonicalized: "batch" is an alias of "fast", so their
+        # checkpoints (and serve cache entries, which reuse this
+        # fingerprint) are interchangeable.
         "engine": fingerprint_engine_name(engine_name),
         "prune": settings.prune,
         "prune_probes": settings.prune_probes,

@@ -49,7 +49,7 @@ class YieldTarget:
     iterations: int = 6
     seed: int = 0
     #: Optional :mod:`repro.engine` name for the Monte-Carlo probes
-    #: (``"batch"`` evaluates whole sample ranges per kernel call);
+    #: (``"fast"`` evaluates whole sample ranges per kernel call);
     #: ``None`` is the ``"scalar"`` reference engine.
     engine: Optional[str] = None
 

@@ -28,7 +28,10 @@ cannot silently resume a *different* search
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import signal
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -44,6 +47,13 @@ FORMAT_VERSION = 1
 #: every checkpointing search runs at unless its controller asks for
 #: another. A SIGKILL loses at most ``CHECKPOINT_EVERY - 1`` evaluations.
 CHECKPOINT_EVERY = 32
+
+#: Env var (tests and CI only): SIGKILL this process right after its
+#: k-th checkpoint save, so a crash lands at a fixed point of a search
+#: rather than at a wall-clock moment that a fast solve can outrun.
+KILL_AFTER_SAVES_ENV = "REPRO_KILL_AFTER_SAVES"
+
+_SAVES = itertools.count(1)
 
 
 def _encode_float(value: float) -> float | str:
@@ -185,6 +195,9 @@ class SearchCheckpoint:
         current_metrics().incr(CHECKPOINT_FLUSHES)
         self._pending = 0
         self._state_dirty = False
+        kill_after = os.environ.get(KILL_AFTER_SAVES_ENV)
+        if kill_after and next(_SAVES) == int(kill_after):
+            os.kill(os.getpid(), signal.SIGKILL)
         return self.path
 
     def flush(self) -> Optional[Path]:

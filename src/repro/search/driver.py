@@ -245,8 +245,8 @@ def run_search(strategy: SearchStrategy, *,
                     # Submit the whole strategy round as one batched
                     # evaluation; the per-candidate loop below consumes
                     # the cache (counters, checkpointing and the best-
-                    # point trajectory are untouched — the batch engine
-                    # is bit-identical per row).
+                    # point trajectory are untouched — batched rows are
+                    # bit-identical to the loop).
                     prefetch([(c.vdd, c.vth) for c in candidates])
                 for candidate in candidates:
                     _observe_serial(strategy, candidate, state, objective)

@@ -169,6 +169,8 @@ class JobRequest:
                      densities={"inputs": self.activity})
         HeuristicSettings(m_steps=self.m_steps, grid_vdd=self.grid_vdd,
                           grid_vth=self.grid_vth,
+                          refine_iters=self.refine_iters,
+                          refine_rounds=self.refine_rounds,
                           search_budget=self.search_budget)
         if self.robust is not None:
             if self.n_vth > 1:

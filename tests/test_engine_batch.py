@@ -1,9 +1,10 @@
-"""Batched multi-design evaluation parity: BatchEngine vs loop.
+"""Batched multi-design evaluation parity: ArrayEngine batch vs loop.
 
-The batch contract (:mod:`repro.engine.batch`): evaluating B designs
+The batch contract (:mod:`repro.engine.array`): evaluating B designs
 with one ``measure_batch`` / ``evaluate_batch`` call is **bit-identical
 per row** (``==``, not approx) to looping the single-design ArrayEngine
-calls — batching is a pure execution detail. Against the ScalarEngine
+calls — batching is a pure execution detail, also across the slabs a
+large batch is cut into. Against the ScalarEngine
 the usual round-off tolerance applies (the fast kernels re-associate
 sums). This module mirrors :mod:`tests.test_engine_parity`: randomized
 design batches on generated circuits, per-gate voltage rows, budget-
@@ -21,7 +22,9 @@ import numpy as np
 import pytest
 
 from repro.activity.profiles import uniform_profile
+from repro.engine import array as array_module
 from repro.engine import fingerprint_engine_name, make_engine
+from repro.engine.array import ArrayEngine
 from repro.engine.base import Evaluator
 from repro.experiments.common import build_problem
 from repro.fastpath.batch import BatchValue
@@ -68,7 +71,7 @@ def test_evaluate_batch_identical_to_loop(seed):
     budgets = problem.budgets()
     rng = random.Random(2000 + seed)
     method = rng.choice(("closed_form", "bisect"))
-    batch = make_engine(problem, "batch", width_method=method)
+    batch = make_engine(problem, "fast", width_method=method)
     fast = make_engine(problem, "fast", width_method=method)
     corners = [(rng.uniform(0.45, 3.3), rng.uniform(0.1, 0.55))
                for _ in range(9)]
@@ -84,7 +87,7 @@ def test_evaluate_batch_tracks_scalar_engine(seed):
     problem = _generated_problem(seed)
     budgets = problem.budgets()
     rng = random.Random(3000 + seed)
-    batch = make_engine(problem, "batch")
+    batch = make_engine(problem, "fast")
     scalar = make_engine(problem, "scalar")
     corners = [(rng.uniform(0.6, 3.3), rng.uniform(0.1, 0.5))
                for _ in range(5)]
@@ -106,7 +109,7 @@ def test_evaluate_batch_tracks_scalar_engine(seed):
 def test_measure_batch_per_gate_rows_identical():
     """Per-gate Vth maps (multi-Vth dies), shared width handle."""
     problem = build_problem("s298", 0.1)
-    batch = make_engine(problem, "batch")
+    batch = make_engine(problem, "fast")
     fast = make_engine(problem, "fast")
     rng = random.Random(23)
     gates = problem.ctx.gates
@@ -125,7 +128,7 @@ def test_measure_batch_per_gate_rows_identical():
 def test_measure_batch_distinct_width_rows_identical():
     """Distinct per-row widths (the annealing-population shape)."""
     problem = _generated_problem(11)
-    batch = make_engine(problem, "batch")
+    batch = make_engine(problem, "fast")
     fast = make_engine(problem, "fast")
     rng = random.Random(29)
     gates = problem.ctx.gates
@@ -146,7 +149,7 @@ def test_repair_corner_batch_identical():
     """The s298 budget-repair corner, batched with benign corners."""
     problem = build_problem("s298", 0.1)
     budgets = problem.budgets()
-    batch = make_engine(problem, "batch")
+    batch = make_engine(problem, "fast")
     fast = make_engine(problem, "fast")
     corners = [(0.7, 0.45), (2.5, 0.25), (0.6, 0.5), (3.3, 0.1),
                (0.85, 0.45)]
@@ -195,7 +198,7 @@ def test_single_row_batch_degenerate():
     """B=1 must behave exactly like the plain single-design call."""
     problem = build_problem("c17", 0.1)
     budgets = problem.budgets()
-    batch = make_engine(problem, "batch")
+    batch = make_engine(problem, "fast")
     fast = make_engine(problem, "fast")
     _assert_rows_identical(batch.evaluate_batch(budgets, [2.2], [0.3]),
                            [fast.evaluate(budgets, 2.2, 0.3)])
@@ -209,7 +212,7 @@ def test_single_row_batch_degenerate():
 def test_canonical_vector_rows_identical():
     """Vector (canonical order) voltage rows through measure_batch."""
     problem = build_problem("c17", 0.1)
-    batch = make_engine(problem, "batch")
+    batch = make_engine(problem, "fast")
     fast = make_engine(problem, "fast")
     gates = problem.ctx.gates
     rng = random.Random(41)
@@ -228,7 +231,7 @@ def test_canonical_vector_rows_identical():
 def test_mixed_rows_fall_back_and_count():
     """Mixed scalar/per-gate rows take the loop; counters say so."""
     problem = build_problem("c17", 0.1)
-    batch = make_engine(problem, "batch")
+    batch = make_engine(problem, "fast")
     fast = make_engine(problem, "fast")
     gates = problem.ctx.gates
     widths = {name: 4.0 for name in gates}
@@ -247,7 +250,7 @@ def test_batch_counters_observe_rows():
     """A served batch books one call and a B-row histogram sample."""
     problem = build_problem("c17", 0.1)
     budgets = problem.budgets()
-    batch = make_engine(problem, "batch")
+    batch = make_engine(problem, "fast")
     registry = MetricsRegistry()
     with use_metrics(registry):
         batch.evaluate_batch(budgets, [2.0, 2.4, 2.8], [0.3, 0.3, 0.25])
@@ -277,10 +280,13 @@ def test_evaluator_prefetch_identity_and_counters():
     def run(prefetched: bool):
         registry = MetricsRegistry()
         with use_metrics(registry):
-            evaluator = Evaluator(problem, make_engine(problem, "batch"),
+            evaluator = Evaluator(problem, make_engine(problem, "fast"),
                                   budgets)
             if prefetched:
-                assert evaluator.prefetch(corners) == len(corners)
+                # Repeated and already-cached corners are fetched once.
+                assert evaluator.prefetch(corners + corners[:2]) \
+                    == len(corners)
+                assert evaluator.prefetch(corners) == 0
             results = [evaluator(vdd, vth) for vdd, vth in corners]
         return results, registry.counters(), evaluator.evaluations
 
@@ -299,6 +305,54 @@ def test_fingerprint_canonicalizes_batch_to_fast():
     assert fingerprint_engine_name("scalar") == "scalar"
 
 
+def test_batch_name_is_the_array_engine():
+    """"batch" builds the array engine, which fingerprints as "fast"."""
+    problem = build_problem("c17", 0.1)
+    engine = make_engine(problem, "batch")
+    assert type(engine) is ArrayEngine and engine.supports_batch
+    assert fingerprint_engine_name(engine.name) == "fast"
+    assert not make_engine(problem, "incremental").supports_batch
+
+
+@pytest.mark.parametrize("method", ["closed_form", "bisect"])
+def test_batch_spanning_slabs_identical_to_loop(monkeypatch, method):
+    """A batch cut into several slabs: rows on both sides of every slab
+    boundary (repair, infeasible and clean corners alike) == the loop,
+    and the whole batch still books one call of B rows."""
+    problem = build_problem("s298", 0.1)
+    budgets = problem.budgets()
+    engine = make_engine(problem, "fast", width_method=method)
+    n = engine.arrays.n_gates
+    # Slabs of 2 rows: 7 rows run as [0, 1] [2, 3] [4, 5] [6].
+    monkeypatch.setattr(array_module, "BATCH_BUDGET", 2 * n + 1)
+    corners = [(0.9, 0.3), (2.5, 0.25), (0.6, 0.5), (3.3, 0.1),
+               (0.7, 0.45), (1.0, 0.35), (0.02, 0.3)]
+    looped = [engine.evaluate(budgets, vdd, vth) for vdd, vth in corners]
+    # Repaired feasible, clean, infeasible, repaired-then-infeasible and
+    # contention corners all take part.
+    assert looped[0].sizing.repaired and looped[5].sizing.repaired
+    assert not looped[2].feasible and not looped[4].feasible
+    registry = MetricsRegistry()
+    with use_metrics(registry):
+        batched = engine.evaluate_batch(budgets, [c[0] for c in corners],
+                                        [c[1] for c in corners])
+    _assert_rows_identical(batched, looped)
+    assert registry.counter(BATCH_CALLS) == 1
+    assert registry.histogram(BATCH_ROWS).total == len(corners)
+
+    rng = random.Random(43)
+    gates = problem.ctx.gates
+    widths = [{name: rng.uniform(1.0, 20.0) for name in gates}
+              for _ in range(5)]
+    vth_rows = np.asarray([[rng.uniform(0.2, 0.42) for _ in gates]
+                           for _ in range(5)])
+    for width_rows in (widths, [widths[0]] * 5):
+        batched = engine.measure_batch([2.0] * 5, vth_rows, width_rows)
+        for row in range(5):
+            reference = engine.measure(2.0, vth_rows[row], width_rows[row])
+            assert batched[row] == reference, row
+
+
 def test_robust_estimator_batched_matches_looped():
     """All dies of a stage in one call == the per-die loop, exactly."""
     from repro.robust.config import RobustConfig
@@ -307,16 +361,19 @@ def test_robust_estimator_batched_matches_looped():
     problem = build_problem("s27", 0.1)
     config = RobustConfig(samples=12, cull_samples=5, seed=7)
     widths = {name: 6.0 for name in problem.ctx.gates}
+    looped_engine = make_engine(problem, "fast")
+    looped_engine.supports_batch = False
     batched = RobustEstimator(problem, config,
-                              make_engine(problem, "batch"))
-    looped = RobustEstimator(problem, config, make_engine(problem, "fast"))
+                              make_engine(problem, "fast"))
+    looped = RobustEstimator(problem, config, looped_engine)
     lhs = batched.estimate(2.0, 0.3, widths)
     rhs = looped.estimate(2.0, 0.3, widths)
     assert lhs.to_dict() == rhs.to_dict()
 
 
-def test_montecarlo_engine_path_matches_fast_loop():
-    """engine="batch" MC == engine="fast" MC (same CRN draws)."""
+def test_montecarlo_engine_path_matches_fast_loop(monkeypatch):
+    """Batched MC on "fast" (or "batch") == the looped "fast" MC (same
+    CRN draws)."""
     from repro.analysis.montecarlo import monte_carlo_variation
     from repro.optimize.problem import DesignPoint
 
@@ -325,9 +382,13 @@ def test_montecarlo_engine_path_matches_fast_loop():
                          widths={name: 6.0
                                  for name in problem.ctx.gates})
     batched = monte_carlo_variation(problem, design, samples=16, seed=3,
-                                    engine="batch")
-    looped = monte_carlo_variation(problem, design, samples=16, seed=3,
-                                   engine="fast")
+                                    engine="fast")
+    assert batched == monte_carlo_variation(problem, design, samples=16,
+                                            seed=3, engine="batch")
+    with monkeypatch.context() as patch:
+        patch.setattr(ArrayEngine, "supports_batch", False)
+        looped = monte_carlo_variation(problem, design, samples=16, seed=3,
+                                       engine="fast")
     assert batched.energies == looped.energies
     assert batched.delays == looped.delays
     assert batched.timing_yield == looped.timing_yield
@@ -344,7 +405,7 @@ def test_population_annealing_chains_match_sequential():
                                           optimize_annealing)
 
     problem = build_problem("s27", 0.1)
-    base = dict(passes=1, iterations_per_pass=60, engine="batch")
+    base = dict(passes=1, iterations_per_pass=60, engine="fast")
     population = optimize_annealing(
         problem, AnnealingSettings(seed=5, population=3, **base))
     assert population.details["population"] == 3

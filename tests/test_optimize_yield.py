@@ -100,7 +100,7 @@ def test_verify_seed_equal_to_selection_seed_is_rejected(s27_problem):
 def test_batched_flag_follows_the_engine_capability(s27_problem, engine):
     # "batched" reports the engine's supports_batch capability, so it is
     # true exactly when the Monte-Carlo dies went through measure_batch.
-    # The search itself is pinned to the unbatched array engine.
+    # The search itself is pinned to an unbatched array-backed engine.
     import dataclasses
 
     from repro.obs.instrument import BATCH_CALLS
@@ -114,8 +114,8 @@ def test_batched_flag_follows_the_engine_capability(s27_problem, engine):
     with use_metrics(registry):
         result = optimize_for_yield(
             s27_problem, target=target,
-            settings=dataclasses.replace(FAST, engine="fast"))
+            settings=dataclasses.replace(FAST, engine="incremental"))
     details = result.result.details["yield_verification"]
     assert details["batched"] == (registry.counter(BATCH_CALLS) > 0)
     if engine != "auto":
-        assert details["batched"] == (engine == "batch")
+        assert details["batched"] == (engine in ("fast", "batch"))

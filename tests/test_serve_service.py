@@ -248,6 +248,42 @@ class TestRangeAdmission:
         with pytest.raises(OptimizationError, match="must be an integer"):
             JobRequest(circuit="s27", **{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("refine_rounds", 2.5), ("refine_iters", float("nan")),
+        ("refine_iters", 6.0), ("refine_rounds", True),
+        ("refine_iters", "18")])
+    def test_non_integer_refine_knob_rejected(self, field, value):
+        with pytest.raises(OptimizationError,
+                           match=f"{field} must be an integer"):
+            JobRequest(circuit="s27", **{field: value})
+
+    @pytest.mark.parametrize("field", ["refine_iters", "refine_rounds"])
+    def test_negative_refine_knob_rejected(self, field):
+        with pytest.raises(OptimizationError, match="must be >= 0"):
+            JobRequest(circuit="s27", **{field: -1})
+
+    @pytest.mark.parametrize("field", ["refine_iters", "refine_rounds"])
+    def test_zero_refine_knob_solves(self, tmp_path, field):
+        # Zero is the loop's own lower bound: no rounds, or rounds that
+        # probe only the bracket midpoint.
+        service = make_service(tmp_path)
+        job = service.submit(JobRequest(**dict(FAST, **{field: 0})))
+        service.step()
+        assert job.state == DONE
+
+    def test_spool_answers_invalid_for_a_fractional_refine_knob(
+            self, tmp_path):
+        service = make_service(tmp_path)
+        ticket = new_ticket()
+        (tmp_path / "spool" / f"{ticket}.json").write_text(
+            json.dumps(dict(FAST, refine_rounds=2.5)))
+        service.poll_spool()
+        reply = json.loads(
+            (tmp_path / "replies" / f"{ticket}.json").read_text())
+        assert reply["status"] == "invalid"
+        assert reply["error"] == "OptimizationError"
+        assert service.jobs == {}
+
     @pytest.mark.parametrize("value", [2.5, False])
     def test_non_integer_prune_probes_rejected(self, value):
         from repro.optimize.heuristic import HeuristicSettings

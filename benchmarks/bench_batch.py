@@ -43,7 +43,7 @@ CIRCUIT = "s298"
 GRID = 12  # 12 x 12 = 144 corners
 DIES = 40
 
-#: CI-gated speedup floors (see ci/check_batch_parity.py).
+#: CI-gated speedup floors (see ci/check_identity.py batch).
 GRID_SPEEDUP_FLOOR = 3.0
 ROBUST_SPEEDUP_FLOOR = 2.0
 

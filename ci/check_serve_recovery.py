@@ -4,10 +4,13 @@ Usage::
 
     python ci/check_serve_recovery.py [--root DIR] [--circuit s298]
 
-Starts the serve daemon, submits a multi-second job through the file
-spool, SIGKILLs the daemon's process group once the solve is running
-and has flushed a checkpoint, restarts it, and asserts:
+Starts the serve daemon with ``REPRO_KILL_AFTER_SAVES=k``, so that it
+SIGKILLs itself right after the solve's k-th checkpoint save, submits a
+multi-second job through the file spool, restarts the daemon without
+the hook, and asserts:
 
+* the first daemon died by SIGKILL mid-solve, with the job ``RUNNING``
+  and its checkpoint on disk,
 * every accepted job reaches a terminal state (``DONE``),
 * recovery actually executed (``serve.jobs.recovered >= 1`` — a run
   where the kill happened to land after the solve finished proves
@@ -32,17 +35,28 @@ from typing import NoReturn
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from repro.runtime.checkpoint import KILL_AFTER_SAVES_ENV
+
+#: The checkpoint save after which the first daemon SIGKILLs itself: a
+#: fixed point of the search, well before its end, however fast the
+#: engine solves.
+KILL_AT_SAVE = 3
+
 
 def fail(message: str) -> NoReturn:
     print(f"check_serve_recovery: {message}", file=sys.stderr)
     raise SystemExit(1)
 
 
-def start_daemon(root: Path, *extra: str) -> subprocess.Popen:
+def start_daemon(root: Path, *extra: str,
+                 kill_at_save: int | None = None) -> subprocess.Popen:
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep \
         + env.get("PYTHONPATH", "")
+    env.pop(KILL_AFTER_SAVES_ENV, None)
+    if kill_at_save is not None:
+        env[KILL_AFTER_SAVES_ENV] = str(kill_at_save)
     process = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", str(root), *extra],
         env=env, start_new_session=True)
@@ -72,8 +86,9 @@ def main() -> int:
     parser.add_argument("--circuit", default="s298")
     parser.add_argument("--grid", type=int, nargs=2, default=(25, 20),
                         metavar=("VDD", "VTH"),
-                        help="search grid; big enough that the SIGKILL "
-                             "lands mid-solve (default 25 20)")
+                        help="search grid; big enough that checkpoint "
+                             f"save {KILL_AT_SAVE} comes mid-solve "
+                             "(default 25 20)")
     args = parser.parse_args()
 
     from repro.serve.client import (read_job_status, submit_request,
@@ -86,31 +101,34 @@ def main() -> int:
                          grid_vdd=args.grid[0], grid_vth=args.grid[1])
 
     print(f"[1/3] daemon up; submitting {args.circuit} on a "
-          f"{args.grid[0]}x{args.grid[1]} grid, then SIGKILL mid-solve")
-    daemon = start_daemon(root)
+          f"{args.grid[0]}x{args.grid[1]} grid; the daemon SIGKILLs itself "
+          f"after checkpoint save {KILL_AT_SAVE}")
+    daemon = start_daemon(root, kill_at_save=KILL_AT_SAVE)
     try:
         ticket = submit_request(root, request)
         reply = wait_for_reply(root, ticket, timeout_s=60)
         if reply.get("status") != "accepted":
             fail(f"submission not accepted: {reply}")
         job_id = reply["job_id"]
-        checkpoint = root / "checkpoints" / f"{job_id}.ckpt"
-        deadline = time.monotonic() + 120
-        while time.monotonic() < deadline:
-            status = read_job_status(root, job_id)
-            if status and status["state"] == "RUNNING" \
-                    and checkpoint.exists():
-                break
-            time.sleep(0.05)
-        else:
-            fail("job never reached RUNNING with a flushed checkpoint")
+        try:
+            returncode = daemon.wait(timeout=120)
+        except subprocess.TimeoutExpired:
+            fail(f"the daemon outlived checkpoint save {KILL_AT_SAVE} by "
+                 "120 s")
     finally:
         kill_daemon(daemon)
+    if returncode != -signal.SIGKILL:
+        fail(f"the daemon exited with {returncode}, not by SIGKILL "
+             f"({-signal.SIGKILL})")
 
     status = read_job_status(root, job_id)
     if status["state"] in TERMINAL_STATES:
         fail(f"kill landed after the solve finished ({status['state']}); "
              f"the gate proved nothing — enlarge --grid")
+    checkpoint = root / "checkpoints" / f"{job_id}.ckpt"
+    if status["state"] != "RUNNING" or not checkpoint.exists():
+        fail(f"job died {status['state']} without a flushed checkpoint; "
+             "expected RUNNING with one")
 
     print("[2/3] daemon restarted; waiting for journaled recovery")
     daemon = start_daemon(root, "--max-jobs", "1", "--max-idle", "60")

@@ -135,7 +135,7 @@ def fingerprint_engine_name(name: str) -> str:
     a pure execution detail, bit-identical per row — so it fingerprints
     as ``"fast"``: checkpoints, resumes and serve cache keys are
     interchangeable between the two names (gated by
-    ``ci/check_batch_parity.py``). Every other engine fingerprints as
+    ``ci/check_identity.py batch``). Every other engine fingerprints as
     itself.
     """
     return "fast" if name == "batch" else name

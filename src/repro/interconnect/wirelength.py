@@ -42,6 +42,8 @@ class WireLengthDistribution:
         self.rent = rent or RentParameters.random_logic()
         self._lengths, self._pmf = self._build_pmf()
         self._cdf = self._build_cdf()
+        self._mean = sum(length * probability for length, probability
+                         in zip(self._lengths, self._pmf))
 
     # --- construction -----------------------------------------------------
 
@@ -99,8 +101,7 @@ class WireLengthDistribution:
 
     def mean_length(self) -> float:
         """Expected point-to-point length (gate pitches)."""
-        return sum(length * probability
-                   for length, probability in zip(self._lengths, self._pmf))
+        return self._mean
 
     def quantile(self, fraction: float) -> int:
         """Smallest length whose CDF reaches ``fraction``."""

@@ -15,7 +15,8 @@ shared state while optimizers mutate only their own views.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Set, Tuple
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Mapping,
+                    Sequence, Set, Tuple)
 
 from repro.errors import NetlistError
 from repro.netlist.gates import GateType
@@ -72,6 +73,7 @@ class LogicNetwork:
                 raise NetlistError(f"duplicate gate name {gate.name!r}")
             self._gates[gate.name] = gate
         self._outputs: Tuple[str, ...] = tuple(outputs)
+        self._output_set: FrozenSet[str] = frozenset(self._outputs)
         self._check_references()
         self._fanouts: Dict[str, Tuple[str, ...]] = self._build_fanouts()
         self._topo_order: Tuple[str, ...] = self._topological_sort()
@@ -92,7 +94,7 @@ class LogicNetwork:
         for output in self._outputs:
             if output not in self._gates:
                 raise NetlistError(f"unknown primary output {output!r}")
-        if len(set(self._outputs)) != len(self._outputs):
+        if len(self._output_set) != len(self._outputs):
             raise NetlistError("duplicate primary outputs")
         if not any(gate.is_input for gate in self._gates.values()):
             raise NetlistError(f"network {self.name!r} has no primary inputs")
@@ -166,7 +168,7 @@ class LogicNetwork:
         module boundary), so the count is floored at 1 for primary outputs.
         """
         count = len(self._fanouts[name])
-        if count == 0 and name in set(self._outputs):
+        if count == 0 and name in self._output_set:
             return 1
         return count
 

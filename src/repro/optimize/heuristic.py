@@ -105,7 +105,7 @@ class HeuristicSettings:
     #: vectorized pre-pass) exceeds the best energy found by a few probe
     #: evaluations. The bound is a true lower bound on any feasible
     #: sizing's energy, so pruning never changes the argmin — the CI
-    #: parity gate (``ci/check_incremental_parity.py``) proves the
+    #: parity gate (``ci/check_identity.py incremental``) proves the
     #: pruned and unpruned scans pick the identical cell at any
     #: ``--jobs`` count. Costs ``prune_probes + 1`` extra sizings
     #: (probed cells are re-evaluated in scan order so the best-point

@@ -13,7 +13,8 @@ and the serve admission path builds it inside
 an impossible yield target, or an unknown risk measure raise a labeled
 :class:`~repro.errors.OptimizationError` before any worker sees the
 job. The sigma, sample-count and seed checks are the ones every
-variation input shares (:func:`repro.robust.sampler.validate_variation`).
+variation input shares (:func:`repro.robust.sampler.validate_variation`),
+and the guard band passes the same finite-real check as the sigmas.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.errors import OptimizationError
-from repro.robust.sampler import validate_variation
+from repro.robust.sampler import validate_nonnegative, validate_variation
 
 #: Supported risk measures over the per-design energy distribution.
 RISK_MEASURES: Tuple[str, ...] = ("mean", "p95", "cvar")
@@ -82,9 +83,7 @@ class RobustConfig:
             raise OptimizationError(
                 f"max_failure_fraction must lie in (0, 1], got "
                 f"{self.max_failure_fraction}")
-        if self.yield_margin_z < 0.0:
-            raise OptimizationError(
-                f"yield_margin_z must be >= 0, got {self.yield_margin_z}")
+        validate_nonnegative("yield_margin_z", self.yield_margin_z)
 
     def resolved(self) -> Dict[str, object]:
         """JSON-native identity dict (fingerprints, cache keys, details)."""

@@ -41,20 +41,25 @@ SAMPLE_FAULTS = (TimingError, InfeasibleError, OptimizationError,
                  FaultInjectedError)
 
 
+def validate_nonnegative(name: str, value) -> None:
+    """``value`` must be a finite real ``>= 0`` (``bool`` excluded), or a
+    labeled :class:`~repro.errors.OptimizationError` names ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value) or value < 0.0:
+        raise OptimizationError(
+            f"{name} must be a finite number >= 0, got {value!r}")
+
+
 def validate_variation(sigma_die, sigma_within, **counts) -> None:
     """The shared check of variation inputs.
 
-    Sigmas must be finite and ``>= 0``. Each keyword is
+    Sigmas must pass :func:`validate_nonnegative`. Each keyword is
     ``name=(value, minimum)``: an integer (``bool`` excluded) that is at
     least ``minimum`` (``None``: any integer, as for seeds). Raises a
     labeled :class:`~repro.errors.OptimizationError`.
     """
-    for name, value in (("sigma_die", sigma_die),
-                        ("sigma_within", sigma_within)):
-        if not isinstance(value, numbers.Real) or not math.isfinite(value) \
-                or value < 0.0:
-            raise OptimizationError(
-                f"{name} must be a finite number >= 0, got {value!r}")
+    validate_nonnegative("sigma_die", sigma_die)
+    validate_nonnegative("sigma_within", sigma_within)
     for name, (value, minimum) in counts.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise OptimizationError(

@@ -6,7 +6,7 @@ The exhaustive grid (the paper's experimental setup, with the PR 5
 bound-based pruning folded in) is the exact reference implementation of
 the seam; the adaptive strategies (random, surrogate, hyperband) trade
 the quadratic scan for a budgeted search that the parity harness
-(``tests/test_search_parity.py``, ``ci/check_search_parity.py``) holds
+(``tests/test_search_parity.py``, ``ci/check_identity.py search``) holds
 to the grid argmin's energy at a fraction of the evaluations.
 
 The contract every strategy implements:

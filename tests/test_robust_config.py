@@ -54,6 +54,13 @@ class TestRobustConfigValidation:
         with pytest.raises(OptimizationError, match="yield_margin_z"):
             RobustConfig(yield_margin_z=-1.0)
 
+    @pytest.mark.parametrize("margin", [math.nan, math.inf, True])
+    def test_non_finite_or_bool_guard_band_rejected(self, margin):
+        # NaN passes every ordering check; the search would run to the
+        # end and blame T_c in an InfeasibleError.
+        with pytest.raises(OptimizationError, match="yield_margin_z"):
+            RobustConfig(yield_margin_z=margin)
+
     def test_resolved_is_json_native_and_complete(self):
         import json
 
@@ -83,7 +90,7 @@ class TestSharedVariationValidation:
     """RobustConfig and VariationStatistics share one variation check."""
 
     @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf,
-                                       -1e-9])
+                                       -1e-9, True])
     @pytest.mark.parametrize("field", ["sigma_die", "sigma_within"])
     def test_bad_sigmas_rejected_by_both(self, field, sigma):
         with pytest.raises(OptimizationError, match=field):

@@ -284,6 +284,11 @@ class TestRangeAdmission:
         assert reply["error"] == "OptimizationError"
         assert service.jobs == {}
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, True])
+    def test_non_finite_or_bool_margin_rejected(self, value):
+        with pytest.raises(OptimizationError, match="yield_margin_z"):
+            JobRequest(circuit="s27", robust="p95", robust_margin_z=value)
+
     @pytest.mark.parametrize("value", [2.5, False])
     def test_non_integer_prune_probes_rejected(self, value):
         from repro.optimize.heuristic import HeuristicSettings
